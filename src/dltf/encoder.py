@@ -13,6 +13,8 @@ import numpy as np
 from .core import DataMatrix, Dictionary
 from .errors import DimensionMismatch, InvalidK
 
+_BLOCK = 256  # columns per partition block
+
 
 def _check_k(k: int, m: int) -> int:
     k = int(k)
@@ -30,16 +32,30 @@ def max_k_columns(M: np.ndarray, k: int) -> np.ndarray:
     k = _check_k(k, m)
     if k == m:
         return M.copy()
-    A = np.abs(M)
-    # Magnitude of the k-th largest entry per column, via partial selection.
-    part = np.partition(A, m - k, axis=0)
-    thresh = part[m - k]
-    keep = A > thresh
-    # Fill remaining slots among boundary ties in ascending index order.
-    need = k - keep.sum(axis=0)
-    tied = A == thresh
-    rank = np.cumsum(tied, axis=0)
-    keep |= tied & (rank <= need)
+    N = M.shape[1]
+    # The k-th largest magnitude per column, found by partial selection in
+    # blocks of columns copied to a small work buffer. np.partition walks a
+    # column with the row stride, and a stride that is a multiple of a
+    # large power of two maps a column onto a few cache sets, so the
+    # buffer's rows span an odd number of 64-byte lines.
+    work = np.empty((m, 8 * (-(-min(N, _BLOCK) // 8) | 1)))
+    thresh = np.empty(N)
+    for j in range(0, N, _BLOCK):
+        block = work[:, :min(_BLOCK, N - j)]
+        np.abs(M[:, j:j + _BLOCK], out=block)
+        block.partition(m - k, axis=0)
+        thresh[j:j + _BLOCK] = block[m - k]
+    keep = M >= thresh
+    keep |= M <= -thresh
+    # Where boundary ties outnumber the free slots, fill the slots in
+    # ascending index order; other columns keep all their ties.
+    over = np.flatnonzero(keep.sum(axis=0) > k)
+    if over.size:
+        A, thresh = np.abs(M[:, over]), thresh[over]
+        above = A > thresh
+        tied = A == thresh
+        rank = np.cumsum(tied, axis=0)
+        keep[:, over] = above | (tied & (rank <= k - above.sum(axis=0)))
     return np.where(keep, M, 0.0)
 
 

@@ -5,14 +5,31 @@ largest-magnitude entries. This module evaluates
 
     prox(c) = argmin_q  gamma * ||q||_{k,2}^2 + ||q - c||^2
 
-exactly in O(m log m): reduce to nonnegative ascending-sorted input by
-sign stripping and a stable sort, shrink the candidate top-k block by
-1/(1+gamma), then repair any order violations with weighted isotonic
-regression (pool-adjacent-violators). Signs and positions are restored
-afterwards. ``reduce`` is the isotonic solver and is usable on its own.
+exactly in O(m log m), for one vector or for every column of an m x N
+matrix in one call. A stable magnitude sort reduces it to weighted
+isotonic regression on the ascending magnitudes c_0 <= ... <= c_{m-1}:
+entries [0, p), p = m - k', keep target c_j and weight 1, and the
+candidate top block [p, m) gets target c_j / g and weight g, g = 1 + gamma.
+Both runs are already sorted, so at most one pooled block straddles p.
+Its value v is the root of the decreasing, piecewise-linear
 
-The PAV stack is iterative on purpose: recursion depth would scale with
-the worst-case merge chain, which is m-1.
+    phi(v) = sum_{j<p} (c_j - v)_+  -  sum_{j>=p} (g v - c_j)_+ .
+
+A stable merge of the two runs orders the breakpoints of phi, prefix
+sums along that order give phi at every breakpoint, and v is the root
+on the segment after the last positive one. This is the (l, r) search
+that Argyriou, Foygel & Srebro (2012) give for the k-support norm, done
+for all columns at once with no Python loop. When the runs do not
+overlap nothing pools and v = c_{p-1}. The sorted solution is then
+min(c_j, v) for j < p and max(c_j / g, v) for j >= p; the sort's
+permutation and the input's signs carry it back. The merge count is the
+pooled block's length minus one: the block is {j < p : c_j > v} and
+{j >= p : c_j / g < v}.
+
+``reduce`` is a general weighted isotonic solver (pool adjacent
+violators) usable on its own; the prox does not use it. Its stack is
+iterative on purpose: recursion depth would scale with the worst-case
+merge chain, which is m-1.
 """
 
 from __future__ import annotations
@@ -28,11 +45,13 @@ from .errors import (
 )
 
 
-def _check_vector(v, name: str) -> np.ndarray:
+def _check_array(v, name: str, ndims=(1,)) -> np.ndarray:
+    """v as a non-empty, finite float array of one of the given ranks."""
     arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DimensionMismatch(f"{name} must be a non-empty 1-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim not in ndims or arr.size < 1:
+        kinds = " or ".join(f"{d}-d" for d in ndims)
+        raise DimensionMismatch(f"{name} must be a non-empty {kinds} array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -52,13 +71,15 @@ def _check_gamma(gamma: float) -> float:
 
 
 def k2_norm_sq(v, k: int) -> float:
-    """Sum of the k largest squared magnitudes of v."""
-    arr = _check_vector(v, "v")
-    k = _check_kprime(k, arr.size)
+    """Sum of the k largest squared magnitudes of v. For an m x N matrix,
+    the sum over its columns of that quantity."""
+    arr = _check_array(v, "v", (1, 2))
+    m = arr.shape[0]
+    k = _check_kprime(k, m)
     sq = arr * arr
-    if k == arr.size:
-        return float(np.sum(sq))
-    return float(np.sum(np.partition(sq, arr.size - k)[arr.size - k:]))
+    if k < m:
+        sq = np.partition(sq, m - k, axis=0)[m - k:]
+    return float(sq.sum())
 
 
 def _pav(u: np.ndarray, t: np.ndarray):
@@ -98,8 +119,8 @@ def reduce(u, t, return_merges: bool = False):
     ``return_merges`` the merge count is returned as a second value
     (at most len(u) - 1).
     """
-    u = _check_vector(u, "u")
-    t = _check_vector(t, "t")
+    u = _check_array(u, "u")
+    t = _check_array(t, "t")
     if u.shape != t.shape:
         raise DimensionMismatch(f"u and t differ in shape: {u.shape} vs {t.shape}")
     if np.any(t <= 0.0):
@@ -112,58 +133,111 @@ def reduce(u, t, return_merges: bool = False):
     return x
 
 
-def prox_sorted_positive(c, kprime: int, gamma: float, return_merges: bool = False):
-    """Prox of the squared (k',2) norm for nonnegative ascending input.
+def _solve_sorted(S: np.ndarray, p: int, g: float) -> np.ndarray:
+    """Replace each row of S by its prox, in place, and return the merge
+    counts as an (N,) array.
 
-    The last k' positions are the candidate top block: their targets
-    shrink by 1/(1+gamma) with weight 1+gamma, the rest keep weight 1,
-    and isotonic regression repairs any violation at the block boundary.
-    Validation is always on; there is no unsafe fast path.
+    S is a C-contiguous N x m array whose rows are ascending nonnegative
+    magnitudes, and p = m - k'. Each row is solved as the weighted isotonic
+    problem with targets S[:p] (weight 1) and S[p:] / g (weight g).
     """
-    c = _check_vector(c, "c")
-    m = c.size
-    kprime = _check_kprime(kprime, m)
+    N, m = S.shape
+    S[:, p:] /= g
+    if p == 0:
+        return np.zeros(N, dtype=np.intp)
+    rows = np.arange(N)
+    order = S.argsort(axis=1, kind="stable")  # merges the two sorted runs
+    right = order >= p
+    x = S[rows[:, None], order]
+    # Along the merged breakpoints x_t, W_t = #(left entries after t)
+    # + g #(right entries up to t) and P_t = the matching weighted sum of
+    # targets, so phi(x_t) = P_t - x_t W_t, and phi(v) = P_t - v W_t up to
+    # the next breakpoint. The cumulative sums start from W = p, P = the
+    # left total.
+    step = np.where(right, g, -1.0)
+    weighted = step * x
+    step[:, 0] += p
+    weighted[:, 0] += S[:, :p].sum(axis=1)
+    W = step.cumsum(axis=1)
+    P = weighted.cumsum(axis=1)
+    x *= W
+    positive = x < P  # phi > 0: a prefix of the merged order
+    count = positive.sum(axis=1)
+    last = count - 1
+    overlap = S[:, p - 1] > S[:, p]  # else nothing pools and v = c_{p-1}
+    v = S[:, p - 1].copy()
+    np.divide(P[rows, last], W[rows, last], out=v, where=overlap)
+    v = v[:, None]
+    np.minimum(S[:, :p], v, out=S[:, :p])
+    np.maximum(S[:, p:], v, out=S[:, p:])
+    # The block is the left entries at or after position `count` and the
+    # right entries before it.
+    positive &= right
+    merges = 2 * positive.sum(axis=1) - count + (p - 1)
+    merges[~overlap] = 0
+    return merges
+
+
+def _column_rows(c: np.ndarray) -> np.ndarray:
+    """The columns of c (or the vector c) as the rows of a 2-d view."""
+    return c[None, :] if c.ndim == 1 else c.T
+
+
+def _result(c: np.ndarray, q_rows: np.ndarray, merges, return_merges: bool):
+    """The prox in the layout of c, from its columns as the rows of q_rows
+    and the signs of c."""
+    q = np.copysign(q_rows[0] if c.ndim == 1 else q_rows.T, c)
+    if not return_merges:
+        return q
+    return q, (int(merges[0]) if c.ndim == 1 else merges)
+
+
+def prox_sorted_positive(c, kprime: int, gamma: float, return_merges: bool = False):
+    """Prox of the squared (k',2) norm for nonnegative ascending input: a
+    vector, or an m x N matrix whose columns are each ascending.
+
+    This is the sorted view of prox_k2. With ``return_merges`` the merge
+    count is returned as a second value (an int for a vector, one per
+    column for a matrix).
+    """
+    c = _check_array(c, "c", (1, 2))
+    kprime = _check_kprime(kprime, c.shape[0])
     gamma = _check_gamma(gamma)
-    if np.any(np.diff(c) < 0.0):
+    if np.any(np.diff(c, axis=0) < 0.0):
         raise UnsortedInput("c must be nondecreasing")
-    if c[0] < 0.0:
-        raise NegativeInput(f"c must be nonnegative, got c[0]={c[0]:g}")
-    u = c.copy()
-    t = np.ones(m)
-    u[m - kprime:] /= 1.0 + gamma
-    t[m - kprime:] = 1.0 + gamma
-    x, merges = reduce(u, t, return_merges=True)
-    if return_merges:
-        return x, merges
-    return x
+    if np.any(c[0] < 0.0):
+        raise NegativeInput(f"c must be nonnegative, got {np.min(c[0]):g}")
+    S = np.array(_column_rows(c), order="C")
+    merges = _solve_sorted(S, S.shape[1] - kprime, 1.0 + gamma)
+    return _result(c, S, merges, return_merges)
 
 
 def prox_k2(c, kprime: int, gamma: float, return_merges: bool = False):
-    """Prox of the squared (k',2) norm at an arbitrary vector.
+    """Prox of the squared (k',2) norm at a vector, or at each column of an
+    m x N matrix (one call, no per-column loop).
 
-    Signs and positions are round-tripped through a stable magnitude
-    sort (ties keep original index order), so the output preserves signs
-    and the magnitude ordering of the input; zero entries stay zero.
+    Signs and positions are round-tripped through a stable magnitude sort
+    (ties keep original index order), so the output keeps the signs and
+    the magnitude order of the input, and zero entries stay zero. With
+    ``return_merges`` the merge count is returned as a second value (an
+    int for a vector, one per column for a matrix); it is at most m-1.
     """
-    c = _check_vector(c, "c")
-    kprime = _check_kprime(kprime, c.size)
+    c = _check_array(c, "c", (1, 2))
+    kprime = _check_kprime(kprime, c.shape[0])
     gamma = _check_gamma(gamma)
-    mags = np.abs(c)
-    order = np.argsort(mags, kind="stable")
-    res = prox_sorted_positive(mags[order], kprime, gamma, return_merges=True)
-    sorted_q, merges = res
-    q = np.empty_like(c)
-    q[order] = sorted_q
-    q *= np.sign(c)
-    if return_merges:
-        return q, merges
-    return q
+    A = np.abs(_column_rows(c), order="C")
+    rows = np.arange(A.shape[0])[:, None]
+    order = A.argsort(axis=1, kind="stable")
+    S = A[rows, order]
+    merges = _solve_sorted(S, S.shape[1] - kprime, 1.0 + gamma)
+    A[rows, order] = S
+    return _result(c, A, merges, return_merges)
 
 
 def prox_objective(q, c, kprime: int, gamma: float) -> float:
     """gamma * ||q||_{k',2}^2 + ||q - c||^2, the quantity prox_k2 minimizes."""
-    q = _check_vector(q, "q")
-    c = _check_vector(c, "c")
+    q = _check_array(q, "q")
+    c = _check_array(c, "c")
     if q.shape != c.shape:
         raise DimensionMismatch(f"q and c differ in shape: {q.shape} vs {c.shape}")
     gamma = _check_gamma(gamma)

@@ -2,7 +2,7 @@
 
 The reference point is a batched plain subgradient descent on the prox
 objective with diminishing steps and best-iterate tracking. It is
-slow but independent of the pool-adjacent-violators machinery, so agreement
+slow but independent of the prox's isotonic machinery, so agreement
 certifies global optimality (the objective is strongly convex).
 """
 

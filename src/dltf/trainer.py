@@ -28,7 +28,7 @@ import numpy as np
 from .core import DataMatrix, Dictionary, SparseCodeBatch, normalize_columns
 from .encoder import max_k_columns
 from .errors import InvalidK, LineSearchFailed, PowerIterationDiverged
-from .prox import prox_k2
+from .prox import k2_norm_sq, prox_k2
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,6 @@ class TrainerState:
     history: list = field(default_factory=list)
 
 
-def _sum_k2_columns(M: np.ndarray, kprime: int) -> float:
-    """Sum over columns of the squared (k',2) norm."""
-    sq = M * M
-    m = M.shape[0]
-    if kprime >= m:
-        return float(sq.sum())
-    return float(np.partition(sq, m - kprime, axis=0)[m - kprime:].sum())
-
-
 def lagrangian_value(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> float:
     """Augmented Lagrangian at the current state."""
     W = state.W.data
@@ -98,7 +89,7 @@ def lagrangian_value(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> flo
     G = W.T @ W
     gram_dev = G - np.eye(hp.m)
     return (
-        0.5 * hp.lam * _sum_k2_columns(state.Q, hp.kprime)
+        0.5 * hp.lam * k2_norm_sq(state.Q, hp.kprime)
         + float((gram_dev * gram_dev).sum())
         + 0.5 * hp.theta * float((resid * resid).sum())
         + float((state.Y * R).sum())
@@ -188,17 +179,14 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
 
 
 def update_Q(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> np.ndarray:
-    """Split-variable update: per-column prox of the squared (2k,2) norm
-    at W^T X - W^T W Z - Y / beta, with gamma = lambda / beta."""
+    """Split-variable update: the prox of the squared (2k,2) norm of each
+    column of W^T X - W^T W Z - Y / beta, with gamma = lambda / beta, in
+    one batched call."""
     W = state.W.data
     C = W.T @ X.data - (W.T @ W) @ state.Z.data - state.Y / hp.beta
     if hp.lam == 0.0:
         return C
-    gamma = hp.lam / hp.beta
-    Q = np.empty_like(C)
-    for i in range(C.shape[1]):
-        Q[:, i] = prox_k2(C[:, i], hp.kprime, gamma)
-    return Q
+    return prox_k2(C, hp.kprime, hp.lam / hp.beta)
 
 
 class _WSubproblem:

@@ -10,7 +10,12 @@ from dltf.errors import (
     UnsortedInput,
 )
 
-cvxpy = pytest.importorskip("cvxpy")
+try:
+    import cvxpy
+except ImportError:
+    cvxpy = None
+
+needs_cvxpy = pytest.mark.skipif(cvxpy is None, reason="cvxpy is the independent QP oracle")
 
 
 def cvxpy_reduce(u, t):
@@ -81,6 +86,7 @@ def test_reduce_pooled_value_is_weighted_mean():
                 start = j
 
 
+@needs_cvxpy
 def test_reduce_against_qp_oracle():
     rng = np.random.default_rng(21)
     for _ in range(15):
@@ -177,6 +183,7 @@ def test_prox_k2_sign_and_order_preservation():
         assert np.all(np.diff(np.abs(q)[order]) >= -1e-12)
 
 
+@needs_cvxpy
 def test_prox_k2_against_qp_oracle():
     rng = np.random.default_rng(26)
     for trial in range(25):
@@ -204,3 +211,82 @@ def test_prox_k2_local_direction_sweep():
             d = rng.standard_normal(m)
             d /= np.linalg.norm(d)
             assert prox.prox_objective(q + eps * d, c, kprime, gamma) >= base - 1e-10
+
+
+def pav_prox(c, kprime, gamma):
+    """The sign/sort reduction solved by the general PAV ``reduce``: the
+    reference the closed form must reproduce."""
+    mags = np.abs(c)
+    order = np.argsort(mags, kind="stable")
+    u = mags[order]
+    t = np.ones(c.size)
+    u[c.size - kprime:] /= 1.0 + gamma
+    t[c.size - kprime:] = 1.0 + gamma
+    x, merges = prox.reduce(u, t, return_merges=True)
+    q = np.empty_like(c)
+    q[order] = x
+    return q * np.sign(c), merges
+
+
+def test_closed_form_matches_pav_reference():
+    rng = np.random.default_rng(28)
+    for trial in range(300):
+        m = int(rng.integers(1, 31))
+        kprime = int(rng.integers(1, m + 1))
+        gamma = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
+        tied = trial % 3 == 0
+        C = rng.standard_normal((m, 5)) * rng.uniform(0.1, 10.0)
+        if tied:
+            C = np.round(C)
+        Q, merges = prox.prox_k2(C, kprime, gamma, return_merges=True)
+        assert Q.shape == C.shape and merges.shape == (5,)
+        for i in range(C.shape[1]):
+            c = C[:, i]
+            q, n = prox.prox_k2(c, kprime, gamma, return_merges=True)
+            assert np.array_equal(q, Q[:, i]) and n == merges[i]
+            ref, ref_merges = pav_prox(c, kprime, gamma)
+            assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(c)), (m, kprime, gamma, c)
+            assert 0 <= n <= m - 1
+            if not tied:
+                assert n == ref_merges, (m, kprime, gamma, c)
+
+
+def test_prox_sorted_positive_is_the_sorted_view():
+    rng = np.random.default_rng(29)
+    for trial in range(50):
+        m = int(rng.integers(1, 20))
+        kprime = int(rng.integers(1, m + 1))
+        gamma = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
+        C = np.sort(np.abs(rng.standard_normal((m, 4))), axis=0)
+        if trial % 2:
+            C = np.round(C, 1)
+        Q, merges = prox.prox_sorted_positive(C, kprime, gamma, return_merges=True)
+        Q2, merges2 = prox.prox_k2(C, kprime, gamma, return_merges=True)
+        assert np.array_equal(Q, Q2) and np.array_equal(merges, merges2)
+        q, n = prox.prox_sorted_positive(C[:, 0], kprime, gamma, return_merges=True)
+        assert np.array_equal(q, Q[:, 0]) and n == merges[0]
+
+
+def test_prox_batch_input_errors():
+    with pytest.raises(DimensionMismatch):
+        prox.prox_k2(np.ones((2, 2, 2)), 1, 1.0)
+    with pytest.raises(DimensionMismatch):
+        prox.prox_k2(np.ones((3, 0)), 1, 1.0)
+    with pytest.raises(ValueError):
+        prox.prox_k2(np.array([[1.0, np.nan], [2.0, 3.0]]), 1, 1.0)
+    with pytest.raises(ValueError):
+        prox.prox_k2(np.array([1.0, -np.inf]), 1, 1.0)
+    with pytest.raises(InvalidK):
+        prox.prox_k2(np.ones((3, 2)), 4, 1.0)
+    with pytest.raises(UnsortedInput):
+        prox.prox_sorted_positive(np.array([[1.0, 2.0], [0.5, 3.0]]), 1, 1.0)
+
+
+def test_k2_norm_sq_sums_over_columns():
+    rng = np.random.default_rng(30)
+    M = rng.standard_normal((9, 7))
+    for k in (1, 4, 9):
+        per_column = sum(prox.k2_norm_sq(M[:, i], k) for i in range(7))
+        assert abs(prox.k2_norm_sq(M, k) - per_column) <= 1e-12 * per_column
+    with pytest.raises(InvalidK):
+        prox.k2_norm_sq(M, 10)
