@@ -15,9 +15,10 @@ Its value v is the root of the decreasing, piecewise-linear
 
     phi(v) = sum_{j<p} (c_j - v)_+  -  sum_{j>=p} (g v - c_j)_+ .
 
-A stable merge of the two runs orders the breakpoints of phi, prefix
-sums along that order give phi at every breakpoint, and v is the root
-on the segment after the last positive one. This is the (l, r) search
+A stable merge of the two runs orders the breakpoints of phi, and
+prefix sums along that order give phi at every breakpoint. The ones
+where phi > 0 fix the pooled block, and v is the block's weighted mean,
+summed over the block alone. This is the (l, r) search
 that Argyriou, Foygel & Srebro (2012) give for the k-support norm, done
 for all columns at once with no Python loop. When the runs do not
 overlap nothing pools and v = c_{p-1}. The sorted solution is then
@@ -163,17 +164,24 @@ def _solve_sorted(S: np.ndarray, p: int, g: float) -> np.ndarray:
     x *= W
     positive = x < P  # phi > 0: a prefix of the merged order
     count = positive.sum(axis=1)
-    last = count - 1
+    # The block is the left entries at or after position `count` and the
+    # right entries before it: S[:, p - n_left : p + n_right].
+    positive &= right
+    n_right = positive.sum(axis=1)
+    n_left = p - count + n_right
     overlap = S[:, p - 1] > S[:, p]  # else nothing pools and v = c_{p-1}
+    # v is the block's weighted mean, summed over the block alone: P and W
+    # carry the whole left run, whose rounding would grow with m.
+    cols = np.arange(m)
+    inblock = (cols >= (p - n_left)[:, None]) & (cols < (p + n_right)[:, None])
+    block = np.multiply(S, inblock, out=x)  # x is no longer needed
+    block[:, p:] *= g
     v = S[:, p - 1].copy()
-    np.divide(P[rows, last], W[rows, last], out=v, where=overlap)
+    np.divide(block.sum(axis=1), n_left + g * n_right, out=v, where=overlap)
     v = v[:, None]
     np.minimum(S[:, :p], v, out=S[:, :p])
     np.maximum(S[:, p:], v, out=S[:, p:])
-    # The block is the left entries at or after position `count` and the
-    # right entries before it.
-    positive &= right
-    merges = 2 * positive.sum(axis=1) - count + (p - 1)
+    merges = n_left + n_right - 1
     merges[~overlap] = 0
     return merges
 

@@ -62,10 +62,11 @@ def test_max_k_survivor_count():
 
 def test_max_k_columns_consistent_with_vector():
     rng = np.random.default_rng(12)
-    M = np.round(rng.standard_normal((9, 40)), 1)
-    out = encoder.max_k_columns(M, 3)
-    for i in range(M.shape[1]):
-        assert np.array_equal(out[:, i], encoder.max_k(M[:, i], 3))
+    for N in (40, 650):
+        M = np.round(rng.standard_normal((9, N)), 1)
+        out = encoder.max_k_columns(M, 3)
+        for i in range(M.shape[1]):
+            assert np.array_equal(out[:, i], encoder.max_k(M[:, i], 3))
 
 
 def test_encode_batch_shapes_and_sparsity():

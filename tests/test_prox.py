@@ -249,6 +249,14 @@ def test_closed_form_matches_pav_reference():
             assert 0 <= n <= m - 1
             if not tied:
                 assert n == ref_merges, (m, kprime, gamma, c)
+    # Long vectors with a small pooled block: the pooled value must not
+    # carry rounding from the rest of the vector.
+    for kprime, gamma in ((10, 0.1), (1000, 0.01), (1000, 0.001), (50000, 0.01)):
+        c = rng.standard_normal(10**5)
+        q, n = prox.prox_k2(c, kprime, gamma, return_merges=True)
+        ref, ref_merges = pav_prox(c, kprime, gamma)
+        assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(c)), (kprime, gamma)
+        assert n == ref_merges
 
 
 def test_prox_sorted_positive_is_the_sorted_view():
