@@ -19,13 +19,14 @@ from .errors import (
     BudgetExceeded,
     DltfError,
     FileFormatError,
+    MonotonicityViolated,
     PowerIterationDiverged,
     SingularSubproblem,
 )
 
 VALIDATION_ERRORS = (ValueError, FileFormatError, OSError, KeyError, TypeError)
 NUMERICAL_ERRORS = (PowerIterationDiverged, SingularSubproblem, BudgetExceeded,
-                    np.linalg.LinAlgError, FloatingPointError, AssertionError)
+                    MonotonicityViolated, np.linalg.LinAlgError, FloatingPointError)
 
 
 class _Parser(argparse.ArgumentParser):

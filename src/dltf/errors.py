@@ -57,6 +57,10 @@ class PowerIterationDiverged(DltfError):
     """Power iteration produced a non-finite or non-positive estimate."""
 
 
+class MonotonicityViolated(DltfError):
+    """A descent step increased its objective beyond the allowed slack."""
+
+
 class LineSearchFailed(RuntimeWarning):
     """Backtracking exhausted its budget; the step is skipped, not fatal."""
 

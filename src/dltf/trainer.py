@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import DataMatrix, Dictionary, SparseCodeBatch, normalize_columns
 from .encoder import max_k_columns
-from .errors import InvalidK, LineSearchFailed, PowerIterationDiverged
+from .errors import InvalidK, LineSearchFailed, MonotonicityViolated, PowerIterationDiverged
 from .prox import k2_norm_sq, prox_k2
 
 
@@ -104,13 +104,12 @@ def primal_residual(state: TrainerState, X: DataMatrix) -> float:
     return float(np.linalg.norm(R))
 
 
-def _smooth_step_bound(G: np.ndarray, hp: Hyperparams) -> float:
-    """Largest eigenvalue of theta*G + beta*G^2 via power iteration."""
-    H = hp.theta * G + hp.beta * (G @ G)
-    m = G.shape[0]
+def _smooth_step_bound(H: np.ndarray, iters: int) -> float:
+    """Largest eigenvalue of the symmetric PSD matrix H via power iteration."""
+    m = H.shape[0]
     v = 1.0 + np.arange(m) / (10.0 * m)
     v /= np.linalg.norm(v)
-    for _ in range(hp.power_iters):
+    for _ in range(iters):
         w = H @ v
         nrm = float(np.linalg.norm(w))
         if not math.isfinite(nrm) or nrm <= 0.0:
@@ -125,50 +124,48 @@ def _smooth_step_bound(G: np.ndarray, hp: Hyperparams) -> float:
 def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
              trace: list | None = None) -> SparseCodeBatch:
     """Code update: hard-thresholded gradient steps on the smooth part of
-    the Lagrangian.
+    the Lagrangian, the quadratic f(Z) = 1/2 <Z, HZ> + <b, Z> + c with
+    D = Q - W^T X, G = W^T W, H = theta G + beta G^2,
+    b = G (Y + beta D) - theta W^T X and c = theta/2 ||X||^2 + beta/2 ||D||^2.
 
     The inner loop starts from whichever of the current codes or the
     thresholded feature max_k(W^T X) scores lower; codes must keep
     tracking the dictionary as it moves, and the previous round's codes
     alone can pin the iteration to a stale support set. The smooth
-    objective value is non-increasing across inner iterations (asserted);
-    iteration stops early once its relative change falls below iht_tol.
-    When trace is a list it receives the objective value per inner step.
+    objective value is non-increasing across inner iterations (a step
+    that ascends raises MonotonicityViolated); iteration stops early once
+    its relative change falls below iht_tol. When trace is a list it
+    receives the objective value per inner step.
     """
     W = state.W.data
-    Q, Y = state.Q, state.Y
     Xd = X.data
     G = W.T @ W
     WtX = W.T @ Xd
-    GY = G @ Y
-    x_sq = float((Xd * Xd).sum())
-    eta = 0.99 / _smooth_step_bound(G, hp)
+    D = state.Q - WtX
+    H = hp.theta * G + hp.beta * (G @ G)
+    b = G @ (state.Y + hp.beta * D) - hp.theta * WtX
+    c = 0.5 * hp.theta * float((Xd * Xd).sum()) + 0.5 * hp.beta * float((D * D).sum())
+    eta = 0.99 / _smooth_step_bound(H, hp.power_iters)
 
-    def value(Z, GZ):
-        recon = x_sq - 2.0 * float((WtX * Z).sum()) + float((GZ * Z).sum())
-        coupling = GZ - WtX + Q
-        return (
-            0.5 * hp.theta * recon
-            + float((Y * GZ).sum())
-            + 0.5 * hp.beta * float((coupling * coupling).sum())
-        )
+    def value(Z, HZ):
+        return float((Z * (0.5 * HZ + b)).sum()) + c
 
     Z = state.Z.data
-    GZ = G @ Z
-    f_prev = value(Z, GZ)
+    HZ = H @ Z
+    f_prev = value(Z, HZ)
     Z_thr = max_k_columns(WtX, hp.k)
-    GZ_thr = G @ Z_thr
-    f_thr = value(Z_thr, GZ_thr)
+    HZ_thr = H @ Z_thr
+    f_thr = value(Z_thr, HZ_thr)
     if f_thr < f_prev:
-        Z, GZ, f_prev = Z_thr, GZ_thr, f_thr
+        Z, HZ, f_prev = Z_thr, HZ_thr, f_thr
     if trace is not None:
         trace.append(f_prev)
     for _ in range(hp.iht_iters):
-        grad = -hp.theta * (WtX - GZ) + GY + hp.beta * (G @ (GZ - WtX + Q))
-        Z_new = max_k_columns(Z - eta * grad, hp.k)
-        GZ = G @ Z_new
-        f = value(Z_new, GZ)
-        assert f <= f_prev + 1e-12 * max(1.0, abs(f_prev)), "hard-thresholding step ascended"
+        Z_new = max_k_columns(Z - eta * (HZ + b), hp.k)
+        HZ = H @ Z_new
+        f = value(Z_new, HZ)
+        if f > f_prev + 1e-12 * max(1.0, abs(f_prev)):
+            raise MonotonicityViolated(f"hard-thresholding step ascended: {f_prev} -> {f}")
         if trace is not None:
             trace.append(f)
         Z = Z_new
@@ -276,10 +273,10 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
     (reference value = max of the last five accepted objectives).
 
     The objective never exceeds its input value plus the nonmonotone
-    allowance (asserted). If backtracking exhausts its budget the update
-    stops where it is and emits a LineSearchFailed warning; progress
-    already accepted is kept, so a first-step failure returns the input
-    dictionary unchanged.
+    allowance (MonotonicityViolated otherwise). If backtracking exhausts
+    its budget the update stops where it is and emits a LineSearchFailed
+    warning; progress already accepted is kept, so a first-step failure
+    returns the input dictionary unchanged.
     """
     P = _WSubproblem(X.data, state.Z.data, state.Q, state.Y, hp)
     W = state.W.data.copy()
@@ -326,7 +323,8 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
         hist.append(f)
         pg = pg_new
         pg_sq = float((pg * pg).sum())
-    assert f <= hist[0] + 1e-10 * max(1.0, abs(hist[0])), "dictionary step ascended"
+    if f > hist[0] + 1e-10 * max(1.0, abs(hist[0])):
+        raise MonotonicityViolated(f"dictionary step ascended: {hist[0]} -> {f}")
     return normalize_columns(W)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dltf import prox
+from dltf import prox, selftest
 from dltf.errors import (
     DimensionMismatch,
     InvalidK,
@@ -211,6 +211,25 @@ def test_prox_k2_local_direction_sweep():
             d = rng.standard_normal(m)
             d /= np.linalg.norm(d)
             assert prox.prox_objective(q + eps * d, c, kprime, gamma) >= base - 1e-10
+
+
+def test_direction_sweep_margin_matches_per_direction_loop():
+    rng = np.random.default_rng(30)
+    eps, ndirs = 1e-5, 25
+    shapes = [(1, 1), (4, 4), (10, 10)] + [
+        (m, int(rng.integers(1, m + 1))) for m in rng.integers(1, 11, size=40)]
+    for i, (m, kprime) in enumerate(shapes):
+        gamma = selftest.GAMMA_CHOICES[i % len(selftest.GAMMA_CHOICES)]
+        inst = selftest.ProxInstance(c=rng.standard_normal(m) * rng.uniform(0.1, 5.0),
+                                     kprime=int(kprime), gamma=gamma)
+        q = prox.prox_k2(inst.c, inst.kprime, gamma)
+        dirs = np.random.default_rng(i).standard_normal((ndirs, m))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        base = prox.prox_objective(q, inst.c, inst.kprime, gamma)
+        ref = min(prox.prox_objective(q + eps * d, inst.c, inst.kprime, gamma) - base
+                  for d in dirs)
+        got = selftest.direction_sweep_margin(inst, q, ndirs, eps, seed=i)
+        assert abs(got - ref) <= 1e-14 * max(1.0, abs(base)), (m, kprime, gamma)
 
 
 def pav_prox(c, kprime, gamma):

@@ -1,11 +1,16 @@
 """Trainer unit tests: update correctness, gradient checks, invariants."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from dltf import core, encoder, guarantees, trainer
+import dltf
+from dltf import cli, core, encoder, guarantees, prox, trainer
 from dltf.core import DataMatrix, Dictionary, SparseCodeBatch
-from dltf.errors import InvalidK, LineSearchFailed
+from dltf.errors import InvalidK, LineSearchFailed, MonotonicityViolated
 
 
 def _random_state(rng, n, m, N, k, hp=None):
@@ -123,6 +128,67 @@ def test_update_z_repeat_never_ascends():
     state2 = trainer.TrainerState(W=state.W, Z=Z1, Q=state.Q, Y=state.Y)
     Z2 = trainer.update_Z(state2, X, hp)
     assert smooth_value(Z2.data) <= smooth_value(Z1.data) + 1e-9
+
+
+def test_update_z_trace_ends_at_smooth_part_of_lagrangian():
+    # the traced value is the Lagrangian at the returned codes less the
+    # terms that do not depend on Z, constant included
+    rng = np.random.default_rng(35)
+    for _ in range(5):
+        n, m, N, k = 8, 12, 30, 3
+        hp = trainer.Hyperparams(m=m, k=k, lam=0.3, theta=0.7, beta=1.4)
+        state = _random_state(rng, n, m, N, k)
+        X = _data(rng, n, N)
+        trace = []
+        state.Z = trainer.update_Z(state, X, hp, trace=trace)
+        W, Q, Y = state.W.data, state.Q, state.Y
+        gram_dev = W.T @ W - np.eye(m)
+        expected = (trainer.lagrangian_value(state, X, hp)
+                    - 0.5 * hp.lam * prox.k2_norm_sq(Q, hp.kprime)
+                    - (gram_dev * gram_dev).sum()
+                    - (Y * (Q - W.T @ X.data)).sum())
+        assert abs(trace[-1] - expected) <= 1e-12 * abs(expected)
+
+
+def _ascending_top_k(M, k):
+    return 100.0 * np.ones_like(M)
+
+
+def test_update_z_ascent_raises_and_exits_two(monkeypatch, tmp_path):
+    rng = np.random.default_rng(36)
+    hp = trainer.Hyperparams(m=12, k=2)
+    state = _random_state(rng, 8, 12, 25, 2)
+    X = _data(rng, 8, 25)
+    data_path = str(tmp_path / "X.dltx")
+    core.save_data_matrix(X, data_path)
+    monkeypatch.setattr(trainer, "max_k_columns", _ascending_top_k)
+    with pytest.raises(MonotonicityViolated):
+        trainer.update_Z(state, X, hp)
+    code = cli.main(["train", "--data", data_path, "--m", "12", "--k", "2",
+                     "--iters", "1", "--seed", "0", "--out", str(tmp_path / "W.dltf")])
+    assert code == 2
+
+
+def test_update_z_ascent_raises_under_optimize():
+    script = (
+        "import numpy as np\n"
+        "from dltf import core, trainer\n"
+        "from dltf.errors import MonotonicityViolated\n"
+        "trainer.max_k_columns = lambda M, k: 100.0 * np.ones_like(M)\n"
+        "rng = np.random.default_rng(37)\n"
+        "X = core.DataMatrix(rng.standard_normal((8, 25)))\n"
+        "hp = trainer.Hyperparams(m=12, k=2)\n"
+        "state = trainer.init_state(X, hp, 0)\n"
+        "try:\n"
+        "    trainer.update_Z(state, X, hp)\n"
+        "except MonotonicityViolated:\n"
+        "    raise SystemExit(3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(dltf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
 
 
 def test_update_q_lambda_zero_is_identity_target():
