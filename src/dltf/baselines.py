@@ -82,6 +82,58 @@ def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
     return Z
 
 
+def omp_gram(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
+    """Code every column of X as omp_batch does, with all samples in
+    lockstep (Batch OMP, Rubinstein, Zibulevsky & Elad 2008).
+
+    G = WᵀW and C = WᵀX are formed once. Each step takes the correlations
+    of every live sample from one product with G, masks the atoms a sample
+    has picked, and refits all live samples by one stacked solve of their
+    normal equations on G. A sample leaves once its explicit residual is
+    below omp's floor, so supports and stops are omp's.
+    """
+    Wd, Xd = W.data, X.data
+    if Xd.shape[0] != Wd.shape[0]:
+        raise DimensionMismatch("data rows do not match dictionary rows")
+    m = Wd.shape[1]
+    if not 1 <= k <= m:
+        raise InvalidK(f"k={k} outside [1, {m}]")
+
+    G = Wd.T @ Wd
+    N = Xd.shape[1]
+    Z = np.zeros((m, N))
+    # live samples' data, correlations, codes and picked atoms, compacted
+    # whenever a sample stops
+    live, Xl, Cl, Zl = np.arange(N), Xd, Wd.T @ Xd, np.zeros((m, N))
+    picked = np.zeros((N, k), dtype=np.intp)
+    for j in range(k):
+        stop = np.linalg.norm(Xl - Wd @ Zl, axis=0) < RESIDUAL_FLOOR
+        if stop.any():
+            Z[:, live[stop]] = Zl[:, stop]
+            keep = ~stop
+            live, Xl, Cl, Zl, picked = (live[keep], Xl[:, keep], Cl[:, keep],
+                                        Zl[:, keep], picked[keep])
+            if live.size == 0:
+                break
+        cols = np.arange(live.size)
+        corr = G @ Zl
+        np.subtract(Cl, corr, out=corr)
+        np.abs(corr, out=corr)
+        # mask by picked index: a picked atom may have a zero coefficient
+        corr[picked[:, :j].T, cols] = -1.0
+        picked[:, j] = np.argmax(corr, axis=0)
+        S = picked[:, :j + 1]
+        A = G[S[:, :, None], S[:, None, :]] + RIDGE * np.eye(j + 1)
+        try:
+            coef = np.linalg.solve(A, Cl[S, cols[:, None]][..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SingularSubproblem(
+                f"normal equations singular at step {j + 1}") from exc
+        Zl[S, cols[:, None]] = coef
+    Z[:, live] = Zl
+    return Z
+
+
 def _dominant_pair(R: np.ndarray, v0: np.ndarray,
                    iters: int = 50, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Dominant singular pair of the small residual block R (n x uses)
@@ -107,10 +159,11 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
                seed: int = 0) -> core.Dictionary:
     """K-SVD dictionary learning with OMP sparse coding.
 
-    Each sweep recodes X with OMP, then updates atoms one at a time by the
-    dominant singular pair of the residual restricted to the samples using
-    that atom. Unused atoms are replaced by the currently worst-represented
-    sample (each sample claimed at most once per sweep).
+    Each sweep recodes X with omp_gram (the codes of omp_batch, computed in
+    lockstep), then updates atoms one at a time by the dominant singular
+    pair of the residual restricted to the samples using that atom. Unused
+    atoms are replaced by the sample worst represented at the start of the
+    sweep (each sample claimed at most once per sweep).
     """
     n, N = X.data.shape
     if not 1 <= k <= m:
@@ -118,14 +171,13 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
     W = random_dictionary(n, m, seed).data.copy()
 
     for _ in range(iters):
-        Z = omp_batch(core.Dictionary(W), X, k)
+        Z = omp_gram(core.Dictionary(W), X, k)
         E = X.data - W @ Z
-        err = np.einsum("ij,ij->j", E, E)
+        order = np.argsort(-np.einsum("ij,ij->j", E, E))
         claimed: set[int] = set()
         for j in range(m):
             uses = np.flatnonzero(Z[j])
             if uses.size == 0:
-                order = np.argsort(-err)
                 # dedup reseed targets within a sweep; with more dead atoms
                 # than samples, fall back to the worst sample
                 pick = next((int(i) for i in order if int(i) not in claimed),

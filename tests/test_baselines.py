@@ -5,7 +5,7 @@ import pytest
 
 from dltf import baselines, bench, core, encoder
 from dltf.core import DataMatrix
-from dltf.errors import DimensionMismatch, InvalidK
+from dltf.errors import DimensionMismatch, InvalidK, SingularSubproblem
 
 
 def test_random_dictionary_unit_norm_and_deterministic():
@@ -80,6 +80,77 @@ def test_omp_batch_matches_per_sample():
         assert np.allclose(Z[:, i], baselines.omp(W, X.data[:, i], 3).code)
 
 
+def _assert_gram_matches_batch(W, X, k):
+    Zb = baselines.omp_batch(W, X, k)
+    Zg = baselines.omp_gram(W, X, k)
+    assert np.array_equal(Zg != 0, Zb != 0)
+    assert np.max(np.abs(Zg - Zb), initial=0.0) <= 1e-12
+
+
+def test_omp_gram_matches_batch_on_random_dictionaries():
+    rng = np.random.default_rng(47)
+    W = baselines.random_dictionary(12, 20, seed=9)
+    X = DataMatrix(rng.standard_normal((12, 60)))
+    for k in (1, 3, 20):
+        _assert_gram_matches_batch(W, X, k)
+    # the shape of the benchmark cells, at both of their k
+    W = baselines.random_dictionary(64, 128, seed=10)
+    X = DataMatrix(rng.standard_normal((64, 150)))
+    for k in (4, 8):
+        _assert_gram_matches_batch(W, X, k)
+
+
+def test_omp_gram_early_stops_per_sample():
+    # exactly 1-, 2- and 3-sparse samples coded at k=4 stop at different
+    # steps; the all-zero column gets the zero code
+    rng = np.random.default_rng(48)
+    Wq, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+    W = core.Dictionary(Wq)
+    cols = []
+    for s in (1, 2, 3, 1, 3, 2):
+        z = np.zeros(10)
+        z[rng.choice(10, s, replace=False)] = rng.uniform(0.5, 2.0, s)
+        cols.append(Wq @ z)
+    cols.append(np.zeros(10))
+    X = DataMatrix(np.column_stack(cols))
+    _assert_gram_matches_batch(W, X, 4)
+    Z = baselines.omp_gram(W, X, 4)
+    assert [np.count_nonzero(Z[:, i]) for i in range(7)] == [1, 2, 3, 1, 3, 2, 0]
+
+
+def test_omp_gram_never_reselects():
+    # atom 4 repeats atom 1, so their tie goes to the lower index; the
+    # second sample leaves the atoms' span, so after atom 0 every step
+    # picks a fresh atom whose coefficient is exactly zero, atom 4 last
+    E = np.eye(5)
+    W = core.Dictionary(np.column_stack([E[0], E[1], E[2], E[3], E[1]]))
+    X = DataMatrix(np.column_stack([2.0 * E[1], E[0] + E[4]]))
+    _assert_gram_matches_batch(W, X, 5)
+    assert np.flatnonzero(baselines.omp_gram(W, X, 5).T).tolist() == [1, 5]
+    rng = np.random.default_rng(49)
+    _assert_gram_matches_batch(W, DataMatrix(rng.standard_normal((5, 20))), 4)
+
+
+def test_omp_gram_validation():
+    W = baselines.random_dictionary(8, 12, seed=3)
+    with pytest.raises(DimensionMismatch):
+        baselines.omp_gram(W, DataMatrix(np.ones((9, 2))), 2)
+    with pytest.raises(InvalidK):
+        baselines.omp_gram(W, DataMatrix(np.ones((8, 2))), 0)
+    with pytest.raises(InvalidK):
+        baselines.omp_gram(W, DataMatrix(np.ones((8, 2))), 13)
+
+
+def test_omp_gram_singular_solve_raises(monkeypatch):
+    def singular(A, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    W = baselines.random_dictionary(8, 12, seed=3)
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularSubproblem):
+        baselines.omp_gram(W, DataMatrix(np.ones((8, 2))), 2)
+
+
 def _ksvd_instance(seed):
     rng = np.random.default_rng(300 + seed)
     n, m, N, k = 16, 24, 400, 3
@@ -133,3 +204,11 @@ def test_ksvd_validation():
         baselines.ksvd_train(X, 10, 0)
     with pytest.raises(InvalidK):
         baselines.ksvd_train(X, 10, 11)
+
+
+def test_ksvd_codes_as_per_sample_omp(monkeypatch):
+    _, _, X, k = _ksvd_instance(0)
+    W_gram = baselines.ksvd_train(X, 24, k, iters=5, seed=0)
+    monkeypatch.setattr(baselines, "omp_gram", baselines.omp_batch)
+    W_batch = baselines.ksvd_train(X, 24, k, iters=5, seed=0)
+    assert np.max(np.abs(W_gram.data - W_batch.data)) <= 1e-12

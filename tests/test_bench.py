@@ -330,8 +330,13 @@ def test_cli_bad_flags_exit_code_one():
 
 
 def test_cli_module_entry_point():
+    import os
     import subprocess
     import sys
+    import dltf
+    # the subprocess does not see pytest's pythonpath setting
+    src = os.path.dirname(os.path.dirname(dltf.__file__))
     proc = subprocess.run([sys.executable, "-m", "dltf", "--version"],
+                          env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
     assert proc.returncode == 0
