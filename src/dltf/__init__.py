@@ -17,7 +17,7 @@ from .core import (
     save_dictionary,
 )
 from .encoder import ave_dif, encode_batch, max_k, max_k_columns, support
-from .prox import k2_norm_sq, prox_k2, prox_objective, prox_sorted_positive
+from .prox import k2_norm_sq, prox_k2, prox_objective
 from . import errors
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "normalize_columns",
     "prox_k2",
     "prox_objective",
-    "prox_sorted_positive",
     "save_data_matrix",
     "save_dictionary",
     "support",

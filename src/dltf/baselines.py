@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import DimensionMismatch, InvalidK, SingularSubproblem
+from .errors import DimensionMismatch, SingularSubproblem, check_k
 
 RIDGE = 1e-12
 RESIDUAL_FLOOR = 1e-10
@@ -41,8 +41,7 @@ def omp(W: core.Dictionary, x: np.ndarray, k: int) -> OmpResult:
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.shape[0] != n:
         raise DimensionMismatch(f"sample has {x.shape[0]} rows, dictionary has {n}")
-    if not 1 <= k <= m:
-        raise InvalidK(f"k={k} outside [1, {m}]")
+    k = check_k(k, m)
 
     picked: list[int] = []
     residual = x.copy()
@@ -96,8 +95,7 @@ def omp_gram(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
     if Xd.shape[0] != Wd.shape[0]:
         raise DimensionMismatch("data rows do not match dictionary rows")
     m = Wd.shape[1]
-    if not 1 <= k <= m:
-        raise InvalidK(f"k={k} outside [1, {m}]")
+    k = check_k(k, m)
 
     G = Wd.T @ Wd
     N = Xd.shape[1]
@@ -166,8 +164,7 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
     sweep (each sample claimed at most once per sweep).
     """
     n, N = X.data.shape
-    if not 1 <= k <= m:
-        raise InvalidK(f"k={k} outside [1, {m}]")
+    k = check_k(k, m)
     W = random_dictionary(n, m, seed).data.copy()
 
     for _ in range(iters):

@@ -13,13 +13,13 @@ import io
 import json
 import time
 import traceback
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import baselines, core, encoder, guarantees, trainer
 from .core import DataMatrix, Dictionary, SparseCodeBatch
-from .errors import InvalidK
+from .errors import check_k
 
 # RNG stream ids under one (seed, k) cell
 _STREAM_TRAIN = 1
@@ -60,8 +60,8 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if min(self.n, self.m, self.N_train, self.N_test) < 1:
             raise ValueError("dimensions must be positive")
-        if any(k > self.m or k < 1 for k in self.k_list):
-            raise InvalidK(f"k_list {self.k_list} outside [1, {self.m}]")
+        for k in self.k_list:
+            check_k(k, self.m)
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}")
@@ -90,8 +90,7 @@ def generate_synthetic(n: int, m: int, N: int, k: int, noise_std: float,
     """One self-contained instance: seeded Gaussian W0 with unit columns,
     binary codes with exactly k ones per column, additive Gaussian noise.
     """
-    if k > m or k < 1:
-        raise InvalidK(f"k={k} outside [1, {m}]")
+    k = check_k(k, m)
     ss = np.random.SeedSequence(seed)
     w_rng, d_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     W0 = core.normalize_columns(w_rng.standard_normal((n, m)))
@@ -224,7 +223,9 @@ def write_report(report: dict, out_prefix: str) -> tuple[str, str]:
     return json_path, csv_path
 
 
-SWEEP_PARAMS = ("lambda", "theta", "n")
+# sweep param -> the BenchConfig field it sets and that field's type
+SWEEP_FIELDS = {"lambda": ("lam", float), "theta": ("theta", float), "n": ("n", int)}
+SWEEP_PARAMS = tuple(SWEEP_FIELDS)
 
 
 def run_param_sweep(cfg: BenchConfig, param: str, grid: list[float]) -> list[dict]:
@@ -237,18 +238,9 @@ def run_param_sweep(cfg: BenchConfig, param: str, grid: list[float]) -> list[dic
     if not grid:
         raise ValueError("empty sweep grid")
     series = []
+    name, cast = SWEEP_FIELDS[param]
     for value in grid:
-        kwargs = asdict(cfg)
-        kwargs.pop("out")
-        for key in ("k_list", "seeds", "methods"):
-            kwargs[key] = tuple(kwargs[key])
-        if param == "lambda":
-            kwargs["lam"] = float(value)
-        elif param == "theta":
-            kwargs["theta"] = float(value)
-        else:
-            kwargs["n"] = int(value)
-        point_cfg = BenchConfig(out=None, **kwargs)
+        point_cfg = replace(cfg, out=None, **{name: cast(value)})
         report = run_support_recovery_bench(point_cfg)
         series.append({"param": param, "value": value, "report": report})
     return series

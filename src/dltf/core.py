@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, FileFormatError, InvalidK, ZeroColumn
+from .errors import DimensionMismatch, FileFormatError, InvalidK, ZeroColumn, check_k
 
 MAGIC_DICTIONARY = b"DLTF"
 MAGIC_DATA = b"DLTX"
@@ -100,9 +100,7 @@ class SparseCodeBatch:
 
     def __post_init__(self):
         arr = _as_matrix(self.data, "code batch")
-        k = int(self.k)
-        if k < 1 or k > arr.shape[0]:
-            raise InvalidK(f"k={k} outside [1, {arr.shape[0]}]")
+        k = check_k(self.k, arr.shape[0])
         nnz = np.count_nonzero(arr, axis=0)
         if np.max(nnz) > k:
             raise InvalidK(f"a column has {int(np.max(nnz))} nonzeros, limit is k={k}")

@@ -11,16 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DataMatrix, Dictionary
-from .errors import DimensionMismatch, InvalidK
+from .errors import DimensionMismatch, check_k
 
 _BLOCK = 200  # columns per selection block: 1600-byte rows
-
-
-def _check_k(k: int, m: int) -> int:
-    k = int(k)
-    if k < 1 or k > m:
-        raise InvalidK(f"k={k} outside [1, {m}]")
-    return k
 
 
 def max_k_columns(M: np.ndarray, k: int) -> np.ndarray:
@@ -29,7 +22,7 @@ def max_k_columns(M: np.ndarray, k: int) -> np.ndarray:
     if M.ndim != 2:
         raise DimensionMismatch(f"expected 2-d array, got shape {M.shape}")
     m = M.shape[0]
-    k = _check_k(k, m)
+    k = check_k(k, m)
     if k == m:
         return M.copy()
     # The k-th largest magnitude per column, by partial selection over
@@ -75,7 +68,7 @@ def encode_batch(W: Dictionary, X: DataMatrix, k: int) -> np.ndarray:
     """Thresholded features for every column of X, as an m x N matrix."""
     if W.n != X.n:
         raise DimensionMismatch(f"dictionary has n={W.n}, data has n={X.n}")
-    _check_k(k, W.m)
+    check_k(k, W.m)
     return max_k_columns(W.data.T @ X.data, k)
 
 

@@ -1,8 +1,10 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its one k-range check.
 
 Everything raised on purpose derives from DltfError so callers can catch
 library failures without also swallowing programming errors.
 """
+
+import operator
 
 
 class DltfError(Exception):
@@ -21,16 +23,13 @@ class InvalidK(DltfError):
     """Sparsity level outside the valid range for the operand."""
 
 
-class NonpositiveWeight(DltfError):
-    """Isotonic regression weights must be strictly positive."""
-
-
-class UnsortedInput(DltfError):
-    """Input that must be nondecreasing is not."""
-
-
-class NegativeInput(DltfError):
-    """Input that must be entrywise nonnegative is not."""
+def check_k(k, m: int) -> int:
+    """k as an int, or InvalidK unless 1 <= k <= m. A k that is not an
+    integer (2.7, or even 4.0) raises TypeError rather than truncating."""
+    k = operator.index(k)
+    if not 1 <= k <= m:
+        raise InvalidK(f"k={k} outside [1, {m}]")
+    return k
 
 
 class TooFewAtoms(DltfError):

@@ -24,8 +24,8 @@ from .errors import (
     DeltaOutOfRange,
     DenominatorNonpositive,
     DimensionMismatch,
-    InvalidK,
     TooFewAtoms,
+    check_k,
 )
 
 # The isometry-based condition is proved for delta strictly below this.
@@ -114,9 +114,7 @@ def rip_constant_exhaustive(W: Dictionary, k: int) -> float:
     badly stretched. Enumeration refuses to start when C(m, k) exceeds
     the 10^6 subset budget.
     """
-    k = int(k)
-    if k < 1 or k > W.m:
-        raise InvalidK(f"k={k} outside [1, {W.m}]")
+    k = check_k(k, W.m)
     count = math.comb(W.m, k)
     if count > SUBSET_BUDGET:
         raise BudgetExceeded(f"C({W.m}, {k}) = {count} subsets exceeds budget {SUBSET_BUDGET}")
@@ -163,9 +161,7 @@ def strong_norm_lower_bound(delta: float, k: int, W: Dictionary, e: np.ndarray) 
     delta = float(delta)
     if not (0.0 < delta < 1.0):
         raise DeltaOutOfRange(f"delta={delta:g} outside (0, 1)")
-    k = int(k)
-    if k < 1 or k > W.m:
-        raise InvalidK(f"k={k} outside [1, {W.m}]")
+    k = check_k(k, W.m)
     spread = 2.0 * delta - delta * delta
     denom = 1.0 - 2.0 * math.sqrt(k * spread)
     if denom <= 0.0:

@@ -26,24 +26,13 @@ min(c_j, v) for j < p and max(c_j / g, v) for j >= p; the sort's
 permutation and the input's signs carry it back. The merge count is the
 pooled block's length minus one: the block is {j < p : c_j > v} and
 {j >= p : c_j / g < v}.
-
-``reduce`` is a general weighted isotonic solver (pool adjacent
-violators) usable on its own; the prox does not use it. Its stack is
-iterative on purpose: recursion depth would scale with the worst-case
-merge chain, which is m-1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidK,
-    NegativeInput,
-    NonpositiveWeight,
-    UnsortedInput,
-)
+from .errors import DimensionMismatch, check_k
 
 
 def _check_array(v, name: str, ndims=(1,)) -> np.ndarray:
@@ -55,13 +44,6 @@ def _check_array(v, name: str, ndims=(1,)) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def _check_kprime(kprime: int, m: int) -> int:
-    kprime = int(kprime)
-    if kprime < 1 or kprime > m:
-        raise InvalidK(f"k'={kprime} outside [1, {m}]")
-    return kprime
 
 
 def _check_gamma(gamma: float) -> float:
@@ -76,62 +58,11 @@ def k2_norm_sq(v, k: int) -> float:
     the sum over its columns of that quantity."""
     arr = _check_array(v, "v", (1, 2))
     m = arr.shape[0]
-    k = _check_kprime(k, m)
+    k = check_k(k, m)
     sq = arr * arr
     if k < m:
         sq = np.partition(sq, m - k, axis=0)[m - k:]
     return float(sq.sum())
-
-
-def _pav(u: np.ndarray, t: np.ndarray):
-    """Pool adjacent violators on (values u, weights t); returns block
-    values, block lengths, and the number of merges performed."""
-    uu = u.tolist()
-    tt = t.tolist()
-    J = len(uu)
-    vals = [0.0] * J
-    wts = [0.0] * J
-    cnts = [0] * J
-    top = -1
-    merges = 0
-    for i in range(J):
-        v = uu[i]
-        w = tt[i]
-        c = 1
-        while top >= 0 and vals[top] > v:
-            pw = wts[top]
-            v = (vals[top] * pw + v * w) / (pw + w)
-            w = pw + w
-            c += cnts[top]
-            top -= 1
-            merges += 1
-        top += 1
-        vals[top] = v
-        wts[top] = w
-        cnts[top] = c
-    return vals[: top + 1], cnts[: top + 1], merges
-
-
-def reduce(u, t, return_merges: bool = False):
-    """Weighted isotonic regression: the nondecreasing x minimizing
-    sum_j t_j (x_j - u_j)^2.
-
-    Pooled blocks take the t-weighted mean of their members. With
-    ``return_merges`` the merge count is returned as a second value
-    (at most len(u) - 1).
-    """
-    u = _check_array(u, "u")
-    t = _check_array(t, "t")
-    if u.shape != t.shape:
-        raise DimensionMismatch(f"u and t differ in shape: {u.shape} vs {t.shape}")
-    if np.any(t <= 0.0):
-        j = int(np.flatnonzero(t <= 0.0)[0])
-        raise NonpositiveWeight(f"weight t[{j}]={t[j]:g} must be positive")
-    vals, cnts, merges = _pav(u, t)
-    x = np.repeat(vals, cnts)
-    if return_merges:
-        return x, merges
-    return x
 
 
 def _solve_sorted(S: np.ndarray, p: int, g: float) -> np.ndarray:
@@ -186,40 +117,6 @@ def _solve_sorted(S: np.ndarray, p: int, g: float) -> np.ndarray:
     return merges
 
 
-def _column_rows(c: np.ndarray) -> np.ndarray:
-    """The columns of c (or the vector c) as the rows of a 2-d view."""
-    return c[None, :] if c.ndim == 1 else c.T
-
-
-def _result(c: np.ndarray, q_rows: np.ndarray, merges, return_merges: bool):
-    """The prox in the layout of c, from its columns as the rows of q_rows
-    and the signs of c."""
-    q = np.copysign(q_rows[0] if c.ndim == 1 else q_rows.T, c)
-    if not return_merges:
-        return q
-    return q, (int(merges[0]) if c.ndim == 1 else merges)
-
-
-def prox_sorted_positive(c, kprime: int, gamma: float, return_merges: bool = False):
-    """Prox of the squared (k',2) norm for nonnegative ascending input: a
-    vector, or an m x N matrix whose columns are each ascending.
-
-    This is the sorted view of prox_k2. With ``return_merges`` the merge
-    count is returned as a second value (an int for a vector, one per
-    column for a matrix).
-    """
-    c = _check_array(c, "c", (1, 2))
-    kprime = _check_kprime(kprime, c.shape[0])
-    gamma = _check_gamma(gamma)
-    if np.any(np.diff(c, axis=0) < 0.0):
-        raise UnsortedInput("c must be nondecreasing")
-    if np.any(c[0] < 0.0):
-        raise NegativeInput(f"c must be nonnegative, got {np.min(c[0]):g}")
-    S = np.array(_column_rows(c), order="C")
-    merges = _solve_sorted(S, S.shape[1] - kprime, 1.0 + gamma)
-    return _result(c, S, merges, return_merges)
-
-
 def prox_k2(c, kprime: int, gamma: float, return_merges: bool = False):
     """Prox of the squared (k',2) norm at a vector, or at each column of an
     m x N matrix (one call, no per-column loop).
@@ -231,15 +128,20 @@ def prox_k2(c, kprime: int, gamma: float, return_merges: bool = False):
     int for a vector, one per column for a matrix); it is at most m-1.
     """
     c = _check_array(c, "c", (1, 2))
-    kprime = _check_kprime(kprime, c.shape[0])
+    kprime = check_k(kprime, c.shape[0])
     gamma = _check_gamma(gamma)
-    A = np.abs(_column_rows(c), order="C")
+    # the columns of c (or the vector c) as the rows of A
+    A = np.abs(c[None, :] if c.ndim == 1 else c.T, order="C")
     rows = np.arange(A.shape[0])[:, None]
     order = A.argsort(axis=1, kind="stable")
     S = A[rows, order]
     merges = _solve_sorted(S, S.shape[1] - kprime, 1.0 + gamma)
     A[rows, order] = S
-    return _result(c, A, merges, return_merges)
+    if c.ndim == 1:
+        q, merges = np.copysign(A[0], c), int(merges[0])
+    else:
+        q = np.copysign(A.T, c)
+    return (q, merges) if return_merges else q
 
 
 def prox_objective(q, c, kprime: int, gamma: float) -> float:

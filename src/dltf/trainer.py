@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import DataMatrix, Dictionary, SparseCodeBatch, normalize_columns
 from .encoder import max_k_columns
-from .errors import InvalidK, LineSearchFailed, MonotonicityViolated, PowerIterationDiverged
+from .errors import LineSearchFailed, MonotonicityViolated, PowerIterationDiverged, check_k
 from .prox import k2_norm_sq, prox_k2
 
 
@@ -51,8 +51,7 @@ class Hyperparams:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m={self.m} must be positive")
-        if self.k < 1 or self.k > self.m:
-            raise InvalidK(f"k={self.k} outside [1, {self.m}]")
+        check_k(self.k, self.m)
         if not (self.beta > 0.0) or not math.isfinite(self.beta):
             raise ValueError(f"beta={self.beta} must be positive")
         if self.lam < 0.0 or self.theta < 0.0:

@@ -1,0 +1,54 @@
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dltf
+from dltf import baselines, bench, core, encoder, guarantees, prox, trainer
+
+SRC = Path(dltf.__file__).resolve().parent
+
+
+def _dictionary():
+    return core.normalize_columns(np.random.default_rng(0).standard_normal((6, 8)))
+
+
+def _data():
+    return core.DataMatrix(np.random.default_rng(1).standard_normal((6, 5)))
+
+
+NON_INTEGRAL_K = {
+    "encode_batch": lambda: encoder.encode_batch(_dictionary(), _data(), 2.7),
+    "max_k_columns": lambda: encoder.max_k_columns(np.ones((8, 3)), 2.7),
+    "prox_k2": lambda: prox.prox_k2(np.ones(8), 1.5, 1.0),
+    "k2_norm_sq": lambda: prox.k2_norm_sq([3.0, 2.0, 1.0], 1.5),
+    "SparseCodeBatch": lambda: core.SparseCodeBatch(np.eye(8), 2.7),
+    "rip_constant_exhaustive": lambda: guarantees.rip_constant_exhaustive(_dictionary(), 2.7),
+    "strong_norm_lower_bound": lambda: guarantees.strong_norm_lower_bound(
+        0.01, 2.7, _dictionary(), np.zeros(6)),
+    "Hyperparams": lambda: trainer.Hyperparams(m=8, k=2.7),
+    "Hyperparams-whole-float": lambda: trainer.Hyperparams(m=8, k=4.0),
+    "omp": lambda: baselines.omp(_dictionary(), np.ones(6), 2.7),
+    "omp_gram": lambda: baselines.omp_gram(_dictionary(), _data(), 2.7),
+    "ksvd_train": lambda: baselines.ksvd_train(_data(), 8, 2.7, iters=1),
+    "generate_synthetic": lambda: bench.generate_synthetic(6, 8, 5, 2.7, 0.1, 0),
+    "BenchConfig": lambda: bench.BenchConfig(k_list=(4, 2.7)),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGRAL_K.values(), ids=NON_INTEGRAL_K.keys())
+def test_non_integral_k_is_rejected(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_package_surface():
+    for name in dltf.__all__:
+        assert hasattr(dltf, name), name
+    # Runtime invariants must hold under `python -O`, which strips asserts.
+    asserts = [f"{path.name}:{node.lineno}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Assert)]
+    assert not asserts, asserts

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from dltf import prox, selftest
-from dltf.errors import (
-    DimensionMismatch,
-    InvalidK,
-    NegativeInput,
-    NonpositiveWeight,
-    UnsortedInput,
-)
+from dltf.errors import DimensionMismatch, InvalidK
 
 try:
     import cvxpy
@@ -16,6 +10,26 @@ except ImportError:
     cvxpy = None
 
 needs_cvxpy = pytest.mark.skipif(cvxpy is None, reason="cvxpy is the independent QP oracle")
+
+
+def pav(u, t):
+    """Weighted isotonic regression by pool adjacent violators: the
+    nondecreasing x minimizing sum_j t_j (x_j - u_j)^2, and the number of
+    merges. The independent reference the closed-form prox must match."""
+    vals, wts, cnts = [], [], []
+    merges = 0
+    for v, w in zip(map(float, u), map(float, t)):
+        c = 1
+        while vals and vals[-1] > v:
+            pw = wts.pop()
+            v = (vals.pop() * pw + v * w) / (pw + w)
+            w += pw
+            c += cnts.pop()
+            merges += 1
+        vals.append(v)
+        wts.append(w)
+        cnts.append(c)
+    return np.repeat(vals, cnts), merges
 
 
 def cvxpy_reduce(u, t):
@@ -52,19 +66,19 @@ def test_k2_norm_sq_values():
 def test_reduce_sorted_input_unchanged():
     u = np.array([1.0, 2.0, 2.0, 5.0])
     t = np.array([1.0, 2.0, 1.0, 3.0])
-    assert np.array_equal(prox.reduce(u, t), u)
-    x, merges = prox.reduce(u, t, return_merges=True)
+    x, merges = pav(u, t)
+    assert np.array_equal(x, u)
     assert merges == 0
 
 
 def test_reduce_two_point_pool():
-    x = prox.reduce([2.0, 1.0], [1.0, 1.0])
+    x, _ = pav([2.0, 1.0], [1.0, 1.0])
     assert np.allclose(x, [1.5, 1.5], atol=1e-15)
 
 
 def test_reduce_weighted_pool_frozen():
     # Weighted mean (1*1 + 3*(1.1/3)) / 4 = 0.525.
-    x = prox.reduce([1.0, 1.1 / 3.0], [1.0, 3.0])
+    x, _ = pav([1.0, 1.1 / 3.0], [1.0, 3.0])
     assert np.allclose(x, [0.525, 0.525], atol=1e-12)
 
 
@@ -74,7 +88,7 @@ def test_reduce_pooled_value_is_weighted_mean():
         J = int(rng.integers(1, 12))
         u = rng.standard_normal(J)
         t = rng.uniform(0.1, 5.0, J)
-        x = prox.reduce(u, t)
+        x, _ = pav(u, t)
         assert np.all(np.diff(x) >= -1e-14)
         # Within each pooled block the value equals the weighted mean.
         start = 0
@@ -93,20 +107,11 @@ def test_reduce_against_qp_oracle():
         J = int(rng.integers(2, 9))
         u = rng.standard_normal(J) * rng.uniform(0.5, 3.0)
         t = rng.uniform(0.2, 4.0, J)
-        ours = prox.reduce(u, t)
+        ours, _ = pav(u, t)
         ref = cvxpy_reduce(u, t)
         f = lambda x: float(np.dot(t, (x - u) ** 2))
         assert f(ours) <= f(ref) + 1e-6
         assert np.max(np.abs(ours - ref)) < 1e-4
-
-
-def test_reduce_errors():
-    with pytest.raises(NonpositiveWeight):
-        prox.reduce([1.0, 2.0], [1.0, 0.0])
-    with pytest.raises(NonpositiveWeight):
-        prox.reduce([1.0], [-2.0])
-    with pytest.raises(DimensionMismatch):
-        prox.reduce([1.0, 2.0], [1.0])
 
 
 def test_reduce_merge_budget():
@@ -115,31 +120,13 @@ def test_reduce_merge_budget():
         J = int(rng.integers(1, 40))
         u = rng.standard_normal(J)
         t = rng.uniform(0.1, 2.0, J)
-        _, merges = prox.reduce(u, t, return_merges=True)
+        _, merges = pav(u, t)
         assert merges <= J - 1
 
 
-def test_prox_sorted_positive_frozen_examples():
-    # No violation: head kept, tail shrunk by 1/(1+gamma).
-    x = prox.prox_sorted_positive([1.0, 2.0, 10.0], 1, 1.0)
-    assert np.allclose(x, [1.0, 2.0, 5.0], atol=1e-15)
-    # Violation at the boundary pools to 0.525.
-    x = prox.prox_sorted_positive([1.0, 1.1], 1, 2.0)
-    assert np.allclose(x, [0.525, 0.525], atol=1e-12)
-
-
-def test_prox_sorted_positive_errors():
-    with pytest.raises(UnsortedInput):
-        prox.prox_sorted_positive([2.0, 1.0], 1, 1.0)
-    with pytest.raises(NegativeInput):
-        prox.prox_sorted_positive([-1.0, 2.0], 1, 1.0)
-    with pytest.raises(InvalidK):
-        prox.prox_sorted_positive([1.0, 2.0], 3, 1.0)
-    with pytest.raises(ValueError):
-        prox.prox_sorted_positive([1.0, 2.0], 1, -0.5)
-
-
 def test_prox_k2_frozen_example():
+    # No violation: head kept, tail shrunk by 1/(1+gamma).
+    assert np.allclose(prox.prox_k2([1.0, 2.0, 10.0], 1, 1.0), [1.0, 2.0, 5.0], atol=1e-15)
     q = prox.prox_k2(np.array([-1.1, 1.0]), 1, 2.0)
     assert np.allclose(q, [-0.525, 0.525], atol=1e-12)
     val = prox.prox_objective(q, np.array([-1.1, 1.0]), 1, 2.0)
@@ -233,15 +220,15 @@ def test_direction_sweep_margin_matches_per_direction_loop():
 
 
 def pav_prox(c, kprime, gamma):
-    """The sign/sort reduction solved by the general PAV ``reduce``: the
-    reference the closed form must reproduce."""
+    """The sign/sort reduction solved by ``pav``: the reference the closed
+    form must reproduce."""
     mags = np.abs(c)
     order = np.argsort(mags, kind="stable")
     u = mags[order]
     t = np.ones(c.size)
     u[c.size - kprime:] /= 1.0 + gamma
     t[c.size - kprime:] = 1.0 + gamma
-    x, merges = prox.reduce(u, t, return_merges=True)
+    x, merges = pav(u, t)
     q = np.empty_like(c)
     q[order] = x
     return q * np.sign(c), merges
@@ -278,22 +265,6 @@ def test_closed_form_matches_pav_reference():
         assert n == ref_merges
 
 
-def test_prox_sorted_positive_is_the_sorted_view():
-    rng = np.random.default_rng(29)
-    for trial in range(50):
-        m = int(rng.integers(1, 20))
-        kprime = int(rng.integers(1, m + 1))
-        gamma = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
-        C = np.sort(np.abs(rng.standard_normal((m, 4))), axis=0)
-        if trial % 2:
-            C = np.round(C, 1)
-        Q, merges = prox.prox_sorted_positive(C, kprime, gamma, return_merges=True)
-        Q2, merges2 = prox.prox_k2(C, kprime, gamma, return_merges=True)
-        assert np.array_equal(Q, Q2) and np.array_equal(merges, merges2)
-        q, n = prox.prox_sorted_positive(C[:, 0], kprime, gamma, return_merges=True)
-        assert np.array_equal(q, Q[:, 0]) and n == merges[0]
-
-
 def test_prox_batch_input_errors():
     with pytest.raises(DimensionMismatch):
         prox.prox_k2(np.ones((2, 2, 2)), 1, 1.0)
@@ -305,8 +276,8 @@ def test_prox_batch_input_errors():
         prox.prox_k2(np.array([1.0, -np.inf]), 1, 1.0)
     with pytest.raises(InvalidK):
         prox.prox_k2(np.ones((3, 2)), 4, 1.0)
-    with pytest.raises(UnsortedInput):
-        prox.prox_sorted_positive(np.array([[1.0, 2.0], [0.5, 3.0]]), 1, 1.0)
+    with pytest.raises(ValueError):
+        prox.prox_k2(np.ones((3, 2)), 1, -0.5)
 
 
 def test_k2_norm_sq_sums_over_columns():
