@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from . import __version__, baselines, bench, core, encoder, guarantees, selftest, trainer
+from . import __version__, bench, core, encoder, guarantees, selftest, trainer
 from .errors import (
     BudgetExceeded,
     DltfError,

@@ -52,3 +52,37 @@ def test_package_surface():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Assert)]
     assert not asserts, asserts
+
+
+def _imported_names(tree):
+    """{bound name: line} for every import in a module but __future__'s."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _read_names(tree):
+    """Names a module loads, plus the strings of its __all__ (re-exports)."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {elt.value for elt in node.value.elts}
+    return read
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = _read_names(tree)
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in _imported_names(tree).items() if name not in read]
+    assert not unused, unused

@@ -191,6 +191,139 @@ def test_update_z_ascent_raises_under_optimize():
     assert proc.returncode == 3, proc.stderr
 
 
+def _columns(*cols):
+    return np.array(cols, dtype=float).T
+
+
+# (M, candidate rows per column, k). The cases mix columns whose
+# candidates pass the check with columns that must fall back to a full
+# selection; comparing bytes also catches a -0.0 kept in place of a 0.0.
+inf, nan = np.inf, np.nan
+SUPPORT_CASES = {
+    "right-stale-partly-wrong": (
+        _columns([5, -4, 1, 0.5, -0.2, 3],
+                 [0.1, 0.2, 6, -7, 0.3, 0.4],
+                 [5, 3, 0, 0.1, -3, 1],
+                 [9, 1, 2, 8, 0.5, 0.25]),
+        [(1, 0), (0, 1), (0, 4), (0, 2)], 2),
+    "ties-at-the-boundary": (
+        _columns([2, -2, 5, 1, 0, 0.5],
+                 [2, -2, 5, 1, 0, 0.5],
+                 [3, 0.5, -3, 1, 0.2, 0.1],
+                 [1, 1, -1, 1, 0, 0]),
+        [(2, 1), (0, 2), (0, 2), (3, 2)], 2),
+    "zeros-on-candidates": (
+        _columns([0, 0, 4, 0, 0, 0],
+                 [7, 0.0, 0, -0.0, 0, 0],
+                 [0, 0, 0, 0, 0, 0],
+                 [0, 3, 0, 0, 0, 0]),
+        [(0, 1), (0, 3), (4, 5), (1, 2)], 2),
+    "nan-and-inf": (
+        _columns([5, 4, nan, 1, 0, 0],
+                 [nan, 5, 1, 0.5, 0, 0],
+                 [inf, 3, -inf, inf, 0, 0],
+                 [1, -inf, 2, 0.5, 0, 3],
+                 [1, 2, 3, inf, 0, 0]),
+        [(0, 1), (0, 1), (2, 3), (1, 5), (1, 2)], 2),
+    "k-equals-m": (
+        _columns([nan, 1, -0.0, inf, 2],
+                 [1, 1, -1, 0, 0],
+                 [3, -2, 5, 0.5, -inf]),
+        [(4, 3, 2, 1, 0), (0, 1, 2, 3, 4), (2, 0, 4, 1, 3)], 5),
+}
+
+
+@pytest.mark.parametrize("M, rows, k", SUPPORT_CASES.values(), ids=SUPPORT_CASES.keys())
+def test_max_k_on_support_matches_max_k_columns(M, rows, k):
+    out, out_rows = trainer.max_k_on_support(M, np.array(rows).T, k, np.empty_like(M))
+    assert out.tobytes() == encoder.max_k_columns(M, k).tobytes()
+    on_rows = np.zeros(M.shape, dtype=bool)
+    np.put_along_axis(on_rows, out_rows, True, axis=0)
+    assert np.all(on_rows.sum(axis=0) == k)
+    assert not np.any((out != 0) & ~on_rows)
+
+
+def _reference_update_z(state, X, hp, trace):
+    """The IHT code step with a full top-k selection at every step."""
+    W = state.W.data
+    G = W.T @ W
+    WtX = W.T @ X.data
+    D = state.Q - WtX
+    H = hp.theta * G + hp.beta * (G @ G)
+    b = G @ (state.Y + hp.beta * D) - hp.theta * WtX
+    c = 0.5 * hp.theta * float((X.data * X.data).sum()) + 0.5 * hp.beta * float((D * D).sum())
+    eta = 0.99 / trainer._smooth_step_bound(H, hp.power_iters)
+
+    def value(Z, HZ):
+        return float((Z * (0.5 * HZ + b)).sum()) + c
+
+    Z = state.Z.data
+    HZ = H @ Z
+    f_prev = value(Z, HZ)
+    Z_thr = encoder.max_k_columns(WtX, hp.k)
+    HZ_thr = H @ Z_thr
+    f_thr = value(Z_thr, HZ_thr)
+    if f_thr < f_prev:
+        Z, HZ, f_prev = Z_thr, HZ_thr, f_thr
+    trace.append(f_prev)
+    for _ in range(hp.iht_iters):
+        Z_new = encoder.max_k_columns(Z - eta * (HZ + b), hp.k)
+        HZ = H @ Z_new
+        f = value(Z_new, HZ)
+        trace.append(f)
+        Z = Z_new
+        if abs(f_prev - f) <= hp.iht_tol * max(1.0, abs(f_prev)):
+            break
+        f_prev = f
+    return Z
+
+
+def _fallback_widths(monkeypatch, state, X, hp):
+    """Run update_Z against the reference loop, bit for bit, and return
+    the column counts of its top-k calls after the first step's."""
+    widths = []
+
+    def recording_top_k(M, k):
+        widths.append(M.shape[1])
+        return encoder.max_k_columns(M, k)
+
+    ref_trace, trace = [], []
+    ref = _reference_update_z(state, X, hp, ref_trace)
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "max_k_columns", recording_top_k)
+        Z = trainer.update_Z(state, X, hp, trace=trace)
+    assert Z.data.tobytes() == ref.tobytes()
+    assert trace == ref_trace
+    # the start's thresholded feature and the first step select in full
+    assert widths[:2] == [X.N, X.N] and len(widths) == len(trace)
+    return widths[2:]
+
+
+def test_update_z_matches_full_selection_as_supports_change(monkeypatch):
+    rng = np.random.default_rng(38)
+    for n, m, N, k, lam, theta, beta in [(8, 12, 40, 2, 0.1, 0.4, 1.1),
+                                         (10, 16, 60, 3, 0.05, 0.01, 1.0),
+                                         (12, 20, 50, 4, 0.3, 0.7, 0.5)]:
+        hp = trainer.Hyperparams(m=m, k=k, lam=lam, theta=theta, beta=beta,
+                                 iht_iters=40, iht_tol=0.0)
+        state = _random_state(rng, n, m, N, k)
+        assert sum(_fallback_widths(monkeypatch, state, _data(rng, n, N), hp)) > 0
+
+
+def test_update_z_matches_full_selection_on_settled_supports(monkeypatch):
+    # an orthonormal dictionary makes the step a contraction towards a
+    # fixed point of -b, whose top k holds after the first step
+    rng = np.random.default_rng(39)
+    for m, N, k in [(12, 30, 3), (8, 20, 8)]:
+        Wq, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        hp = trainer.Hyperparams(m=m, k=k, iht_iters=20, iht_tol=0.0)
+        state = trainer.TrainerState(W=Dictionary(Wq), Z=SparseCodeBatch(np.zeros((m, N)), k),
+                                     Q=rng.standard_normal((m, N)),
+                                     Y=rng.standard_normal((m, N)))
+        widths = _fallback_widths(monkeypatch, state, _data(rng, m, N), hp)
+        assert len(widths) >= 2 and not any(widths)
+
+
 def test_update_q_lambda_zero_is_identity_target():
     rng = np.random.default_rng(24)
     n, m, N, k = 7, 10, 15, 2
@@ -325,7 +458,7 @@ def test_train_deterministic_and_invariant():
     assert len(s1.history) == 5
     for rec in s1.history:
         for key in ("iteration", "lagrangian", "primal_residual",
-                    "max_colnorm_dev", "recon_error", "wall_ms"):
+                    "max_colnorm_dev", "recon_error", "iht_steps", "wall_ms"):
             assert key in rec
         assert rec["max_colnorm_dev"] <= 1e-8
 
@@ -379,3 +512,18 @@ def test_train_history_iterations_are_sequential():
     hp = trainer.Hyperparams(m=8, k=2, outer_iters=4, iht_iters=10, w_iters=5)
     _, state = trainer.train(X, hp, seed=3)
     assert [rec["iteration"] for rec in state.history] == [1, 2, 3, 4]
+
+
+def test_train_history_counts_iht_steps():
+    rng = np.random.default_rng(40)
+    X = DataMatrix(rng.standard_normal((8, 40)))
+    hp = trainer.Hyperparams(m=12, k=2, outer_iters=4, iht_iters=60, w_iters=5)
+    _, trained = trainer.train(X, hp, seed=4)
+    state = trainer.init_state(X, hp, seed=4)
+    for rec in trained.history:
+        trace = []
+        state.Z = trainer.update_Z(state, X, hp, trace=trace)
+        state.Q = trainer.update_Q(state, X, hp)
+        state.W = trainer.update_W(state, X, hp)
+        state.Y = trainer.update_Y(state, X, hp)
+        assert rec["iht_steps"] == len(trace) - 1
