@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import baselines, core, encoder, guarantees, trainer
+from . import __version__, baselines, core, encoder, guarantees, trainer
 from .core import DataMatrix, Dictionary, SparseCodeBatch
 from .errors import check_k
 
@@ -60,8 +60,11 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if min(self.n, self.m, self.N_train, self.N_test) < 1:
             raise ValueError("dimensions must be positive")
-        for k in self.k_list:
-            check_k(k, self.m)
+        for k in self.k_list:  # the trainer's own rule for each cell
+            trainer.Hyperparams(self.m, k, self.lam, self.theta, self.beta,
+                                outer_iters=self.dltf_outer_iters)
+        if self.ksvd_iters < 1:
+            raise ValueError("ksvd_iters must be at least 1")
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}")
@@ -180,17 +183,12 @@ def run_support_recovery_bench(cfg: BenchConfig) -> dict:
                     partial = True
                 cells.append(cell)
     report = {
-        "version": core_version(),
+        "version": __version__,
         "config": asdict(cfg),
         "cells": cells,
         "partial": partial,
     }
     return report
-
-
-def core_version() -> str:
-    from . import __version__
-    return __version__
 
 
 def report_csv(report: dict) -> str:

@@ -18,13 +18,12 @@ from . import __version__, bench, core, encoder, guarantees, selftest, trainer
 from .errors import (
     BudgetExceeded,
     DltfError,
-    FileFormatError,
     MonotonicityViolated,
     PowerIterationDiverged,
     SingularSubproblem,
 )
 
-VALIDATION_ERRORS = (ValueError, FileFormatError, OSError, KeyError, TypeError)
+VALIDATION_ERRORS = (DltfError, ValueError, OSError, KeyError, TypeError)
 NUMERICAL_ERRORS = (PowerIterationDiverged, SingularSubproblem, BudgetExceeded,
                     MonotonicityViolated, np.linalg.LinAlgError, FloatingPointError)
 
@@ -227,9 +226,6 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except DltfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +33,14 @@ ZERO_NORM_FLOOR = 1e-12
 _HEADER = struct.Struct("<4sBQQ")
 
 
-def _as_matrix(values, name: str) -> np.ndarray:
+def as_finite_array(values, name: str, ndims=(2,)) -> np.ndarray:
+    """values as a non-empty, finite float64 array of one of the given
+    ranks; DimensionMismatch or ValueError otherwise."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-d, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DimensionMismatch(f"{name} must be non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim not in ndims or arr.size < 1:
+        kinds = " or ".join(f"{d}-d" for d in ndims)
+        raise DimensionMismatch(f"{name} must be a non-empty {kinds} array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -51,7 +52,7 @@ class Dictionary:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.data, "dictionary")
+        arr = as_finite_array(self.data, "dictionary")
         norms = np.linalg.norm(arr, axis=0)
         if np.max(np.abs(norms - 1.0)) > UNIT_NORM_ATOL:
             raise ValueError(
@@ -78,7 +79,7 @@ class DataMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.data, "data matrix").copy()
+        arr = as_finite_array(self.data, "data matrix").copy()
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -96,10 +97,10 @@ class SparseCodeBatch:
     """An m x N code matrix where every column has at most k nonzeros."""
 
     data: np.ndarray
-    k: int = field(default=0)
+    k: int
 
     def __post_init__(self):
-        arr = _as_matrix(self.data, "code batch")
+        arr = as_finite_array(self.data, "code batch")
         k = check_k(self.k, arr.shape[0])
         nnz = np.count_nonzero(arr, axis=0)
         if np.max(nnz) > k:
@@ -109,14 +110,6 @@ class SparseCodeBatch:
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "k", k)
 
-    @property
-    def m(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.data.shape[1]
-
 
 def normalize_columns(raw) -> Dictionary:
     """Scale each column of ``raw`` to unit norm and wrap it as a Dictionary.
@@ -125,7 +118,7 @@ def normalize_columns(raw) -> Dictionary:
     an already-normalized matrix reproduces it to within a relative 1e-15
     per entry (one multiply by a ratio that equals 1 up to rounding).
     """
-    arr = _as_matrix(raw, "matrix")
+    arr = as_finite_array(raw, "matrix")
     norms = np.linalg.norm(arr, axis=0)
     bad = np.flatnonzero(norms < ZERO_NORM_FLOOR)
     if bad.size:

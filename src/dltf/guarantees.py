@@ -68,12 +68,17 @@ def mutual_coherence(W: Dictionary) -> CoherenceReport:
     return CoherenceReport(float(G[i, j]), i, j)
 
 
-def cross_coherence(W: Dictionary, e: np.ndarray) -> float:
-    """Maximum |<w_i, e>| over atoms; zero vector gives zero."""
+def _noise_correlations(W: Dictionary, e: np.ndarray) -> np.ndarray:
+    """W^T e for a length-n noise vector e."""
     e = np.asarray(e, dtype=np.float64)
     if e.ndim != 1 or e.size != W.n:
         raise DimensionMismatch(f"noise must be a length-{W.n} vector, got shape {e.shape}")
-    return float(np.max(np.abs(W.data.T @ e)))
+    return W.data.T @ e
+
+
+def cross_coherence(W: Dictionary, e: np.ndarray) -> float:
+    """Maximum |<w_i, e>| over atoms; zero vector gives zero."""
+    return float(np.max(np.abs(_noise_correlations(W, e))))
 
 
 def _code_magnitudes(z: np.ndarray, m: int):
@@ -91,11 +96,9 @@ def weak_condition(W: Dictionary, z: np.ndarray) -> GuaranteeVerdict:
 
     |z_1| and |z_k| are the largest and smallest nonzero magnitudes of z
     and k its nonzero count. When it holds, max_k(W^T W z) with k = nnz(z)
-    recovers supp(z) exactly.
+    recovers supp(z) exactly. It is the noisy variant at zero noise.
     """
-    _, z1, zk, k = _code_magnitudes(z, W.m)
-    mu = mutual_coherence(W).mu
-    return _verdict(k * mu, zk / (2.0 * z1))
+    return weak_condition_noisy(W, z, np.zeros(W.n))
 
 
 def weak_condition_noisy(W: Dictionary, z: np.ndarray, e: np.ndarray) -> GuaranteeVerdict:
@@ -129,11 +132,8 @@ def rip_constant_exhaustive(W: Dictionary, k: int) -> float:
 
 
 def _tail_correlation_norm(W: Dictionary, e: np.ndarray, k: int) -> float:
-    e = np.asarray(e, dtype=np.float64)
-    if e.ndim != 1 or e.size != W.n:
-        raise DimensionMismatch(f"noise must be a length-{W.n} vector, got shape {e.shape}")
     sel = min(2 * k, W.m)
-    return float(np.linalg.norm(max_k(W.data.T @ e, sel)))
+    return float(np.linalg.norm(max_k(_noise_correlations(W, e), sel)))
 
 
 def strong_condition(W: Dictionary, z: np.ndarray, e: np.ndarray, delta: float) -> GuaranteeVerdict:

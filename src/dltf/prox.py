@@ -32,18 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import as_finite_array
 from .errors import DimensionMismatch, check_k
-
-
-def _check_array(v, name: str, ndims=(1,)) -> np.ndarray:
-    """v as a non-empty, finite float array of one of the given ranks."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim not in ndims or arr.size < 1:
-        kinds = " or ".join(f"{d}-d" for d in ndims)
-        raise DimensionMismatch(f"{name} must be a non-empty {kinds} array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
 
 
 def _check_gamma(gamma: float) -> float:
@@ -56,7 +46,7 @@ def _check_gamma(gamma: float) -> float:
 def k2_norm_sq(v, k: int) -> float:
     """Sum of the k largest squared magnitudes of v. For an m x N matrix,
     the sum over its columns of that quantity."""
-    arr = _check_array(v, "v", (1, 2))
+    arr = as_finite_array(v, "v", (1, 2))
     m = arr.shape[0]
     k = check_k(k, m)
     sq = arr * arr
@@ -127,7 +117,7 @@ def prox_k2(c, kprime: int, gamma: float, return_merges: bool = False):
     ``return_merges`` the merge count is returned as a second value (an
     int for a vector, one per column for a matrix); it is at most m-1.
     """
-    c = _check_array(c, "c", (1, 2))
+    c = as_finite_array(c, "c", (1, 2))
     kprime = check_k(kprime, c.shape[0])
     gamma = _check_gamma(gamma)
     # the columns of c (or the vector c) as the rows of A
@@ -146,8 +136,8 @@ def prox_k2(c, kprime: int, gamma: float, return_merges: bool = False):
 
 def prox_objective(q, c, kprime: int, gamma: float) -> float:
     """gamma * ||q||_{k',2}^2 + ||q - c||^2, the quantity prox_k2 minimizes."""
-    q = _check_array(q, "q")
-    c = _check_array(c, "c")
+    q = as_finite_array(q, "q", (1,))
+    c = as_finite_array(c, "c", (1,))
     if q.shape != c.shape:
         raise DimensionMismatch(f"q and c differ in shape: {q.shape} vs {c.shape}")
     gamma = _check_gamma(gamma)

@@ -16,6 +16,8 @@ from . import prox
 
 PAD_M = 10
 GAMMA_CHOICES = (0.0, 0.1, 1.0, 10.0)
+STARTS = 5  # subgradient starts per instance, one of them at c
+SWEEP_EPS = 1e-5  # length of the suite's random perturbations
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ def random_instances(count: int, seed: int) -> list[ProxInstance]:
 
 
 def subgradient_best(instances: list[ProxInstance], total_iters: int = 100_000,
-                     starts: int = 5, seed: int = 0) -> np.ndarray:
+                     seed: int = 0) -> np.ndarray:
     """Best objective reached by subgradient descent, per instance.
 
     All instances are zero-padded to PAD_M columns and every (instance,
@@ -52,20 +54,20 @@ def subgradient_best(instances: list[ProxInstance], total_iters: int = 100_000,
     """
     rng = np.random.default_rng(seed)
     B = len(instances)
-    R = B * starts
+    R = B * STARTS
     C = np.zeros((R, PAD_M))
     kp = np.zeros(R, dtype=np.int64)
     gam = np.zeros(R)
     for i, inst in enumerate(instances):
-        rows = slice(i * starts, (i + 1) * starts)
+        rows = slice(i * STARTS, (i + 1) * STARTS)
         C[rows, :inst.c.size] = inst.c
         kp[rows] = inst.kprime
         gam[rows] = inst.gamma
 
-    iters = max(1, total_iters // starts)
+    iters = max(1, total_iters // STARTS)
     scale = np.maximum(np.abs(C).max(axis=1), 1.0)
     q = rng.standard_normal((R, PAD_M)) * scale[:, None]
-    q[::starts] = C[::starts]  # one start from c itself
+    q[::STARTS] = C[::STARTS]  # one start from c itself
     best = np.full(R, np.inf)
     rows = np.arange(R)
     gcol = gam[:, None]
@@ -80,7 +82,7 @@ def subgradient_best(instances: list[ProxInstance], total_iters: int = 100_000,
         # strongly convex with modulus 2 from the quadratic term
         step = 1.0 / (2.0 * (t + 1))
         q = q - step * (2.0 * diff + 2.0 * gcol * q * mask)
-    return best.reshape(B, starts).min(axis=1)
+    return best.reshape(B, STARTS).min(axis=1)
 
 
 def direction_sweep_margin(inst: ProxInstance, q: np.ndarray, ndirs: int,
@@ -100,17 +102,17 @@ def direction_sweep_margin(inst: ProxInstance, q: np.ndarray, ndirs: int,
 
 
 def oracle_equivalence_suite(count: int = 1000, seed: int = 12345,
-                             total_iters: int = 100_000, starts: int = 5,
-                             ndirs: int = 200, eps: float = 1e-5) -> dict:
+                             total_iters: int = 100_000, ndirs: int = 200) -> dict:
     """Run the full optimality suite and report the worst margins.
 
     Returns a dict with max_gap (solver objective minus oracle best,
     positive means the solver did worse), min_sweep_margin, and pass flags
-    at the 1e-9 / -1e-10 thresholds.
+    at the 1e-9 / -1e-10 thresholds. ValueError unless count >= 1.
     """
+    if count < 1:
+        raise ValueError(f"count={count} must be at least 1")
     instances = random_instances(count, seed)
-    oracle = subgradient_best(instances, total_iters=total_iters,
-                              starts=starts, seed=seed + 1)
+    oracle = subgradient_best(instances, total_iters=total_iters, seed=seed + 1)
     max_gap = -np.inf
     min_margin = np.inf
     for i, inst in enumerate(instances):
@@ -118,7 +120,7 @@ def oracle_equivalence_suite(count: int = 1000, seed: int = 12345,
         val = prox.prox_objective(q, inst.c, inst.kprime, inst.gamma)
         max_gap = max(max_gap, val - oracle[i])
         min_margin = min(min_margin,
-                         direction_sweep_margin(inst, q, ndirs, eps, seed + 2 + i))
+                         direction_sweep_margin(inst, q, ndirs, SWEEP_EPS, seed + 2 + i))
     return {
         "count": count,
         "max_gap": float(max_gap),

@@ -19,6 +19,7 @@ deterministic given (X, hyperparams, seed).
 from __future__ import annotations
 
 import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -33,7 +34,8 @@ from .prox import k2_norm_sq, prox_k2
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Trainer knobs. beta must be positive; lam and theta nonnegative."""
+    """Trainer knobs. beta must be positive; lam and theta finite and
+    nonnegative."""
 
     m: int
     k: int
@@ -49,13 +51,13 @@ class Hyperparams:
     primal_tol: float = 1e-5
 
     def __post_init__(self):
-        if self.m < 1:
+        if operator.index(self.m) < 1:
             raise ValueError(f"m={self.m} must be positive")
         check_k(self.k, self.m)
         if not (self.beta > 0.0) or not math.isfinite(self.beta):
             raise ValueError(f"beta={self.beta} must be positive")
-        if self.lam < 0.0 or self.theta < 0.0:
-            raise ValueError("lam and theta must be nonnegative")
+        if not (0.0 <= self.lam < math.inf and 0.0 <= self.theta < math.inf):
+            raise ValueError("lam and theta must be finite and nonnegative")
         for name in ("outer_iters", "iht_iters", "w_iters", "power_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -75,7 +77,6 @@ class TrainerState:
     Z: SparseCodeBatch
     Q: np.ndarray
     Y: np.ndarray
-    iteration: int = 0
     history: list = field(default_factory=list)
 
 
@@ -230,8 +231,6 @@ def update_Q(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> np.ndarray:
     one batched call."""
     W = state.W.data
     C = W.T @ X.data - (W.T @ W) @ state.Z.data - state.Y / hp.beta
-    if hp.lam == 0.0:
-        return C
     return prox_k2(C, hp.kprime, hp.lam / hp.beta)
 
 
@@ -414,7 +413,6 @@ def train(X: DataMatrix, hp: Hyperparams, seed):
         state.Q = update_Q(state, X, hp)
         state.W = update_W(state, X, hp)
         state.Y = update_Y(state, X, hp)
-        state.iteration = it + 1
         primal = primal_residual(state, X)
         colnorms = np.linalg.norm(state.W.data, axis=0)
         recon = float(np.linalg.norm(X.data - state.W.data @ state.Z.data))

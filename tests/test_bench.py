@@ -83,6 +83,13 @@ def test_bench_config_validation():
         tiny_config(methods=("original", "mystery"))
     with pytest.raises(ValueError):
         tiny_config(noise_std=-0.1)
+    for bad in (dict(beta=0.0), dict(lam=-1.0), dict(theta=-1.0),
+                dict(lam=float("nan")), dict(theta=float("inf")),
+                dict(dltf_outer_iters=0), dict(ksvd_iters=0)):
+        with pytest.raises(ValueError):
+            tiny_config(**bad)
+    with pytest.raises(TypeError):
+        tiny_config(m=24.0)
 
 
 def test_bench_report_structure():
@@ -262,6 +269,15 @@ def test_cli_rejects_unknown_method(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", [["--beta", "0"], ["--lambda", "-1"], ["--lambda", "nan"]])
+def test_cli_bad_trainer_weight_exits_one_without_report(tmp_path, flag):
+    prefix = tmp_path / "x"
+    code = run_cli(["synth-bench", "--n", "16", "--m", "24", "--N", "100",
+                    "--k", "2", "--seed", "0", "--out", str(prefix)] + flag)
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_train_encode_coherence_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(3)
     X = core.DataMatrix(rng.standard_normal((12, 80)))
@@ -296,6 +312,26 @@ def test_cli_train_encode_coherence_round_trip(tmp_path, capsys):
 def test_cli_missing_file_is_validation_error(tmp_path):
     code = run_cli(["coherence", "--dict", str(tmp_path / "nope.dltf")])
     assert code == 1
+
+
+def test_cli_library_errors_exit_one(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    data_path = str(tmp_path / "X.dltx")
+    core.save_data_matrix(core.DataMatrix(rng.standard_normal((6, 10))), data_path)
+    dict_path = str(tmp_path / "W.dltf")
+    core.save_dictionary(core.normalize_columns(rng.standard_normal((6, 8))), dict_path)
+    # a data container read as a dictionary has the wrong magic
+    assert run_cli(["coherence", "--dict", data_path]) == 1
+    assert "bad magic" in capsys.readouterr().err
+    assert run_cli(["encode", "--dict", dict_path, "--data", data_path,
+                    "--k", "0", "--out", str(tmp_path / "Z.csv")]) == 1
+    assert "k=0" in capsys.readouterr().err
+
+
+def test_cli_prox_selftest_rejects_zero_count(capsys):
+    assert run_cli(["prox-selftest", "--count", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "count=0" in captured.err
 
 
 def test_cli_prox_selftest_smoke(capsys):

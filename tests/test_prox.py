@@ -11,6 +11,14 @@ except ImportError:
 
 needs_cvxpy = pytest.mark.skipif(cvxpy is None, reason="cvxpy is the independent QP oracle")
 
+try:
+    from scipy.optimize import isotonic_regression
+except ImportError:
+    isotonic_regression = None
+
+needs_scipy = pytest.mark.skipif(isotonic_regression is None,
+                                 reason="scipy's isotonic_regression is the second PAV")
+
 
 def pav(u, t):
     """Weighted isotonic regression by pool adjacent violators: the
@@ -112,6 +120,18 @@ def test_reduce_against_qp_oracle():
         f = lambda x: float(np.dot(t, (x - u) ** 2))
         assert f(ours) <= f(ref) + 1e-6
         assert np.max(np.abs(ours - ref)) < 1e-4
+
+
+@needs_scipy
+def test_reduce_against_scipy_isotonic_regression():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        J = int(rng.integers(1, 30))
+        u = np.round(rng.standard_normal(J) * rng.uniform(0.5, 3.0), 1)  # ties
+        t = rng.uniform(0.2, 4.0, J)
+        ours, _ = pav(u, t)
+        ref = isotonic_regression(u, weights=t).x
+        assert np.max(np.abs(ours - ref)) <= 1e-12
 
 
 def test_reduce_merge_budget():

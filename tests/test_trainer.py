@@ -38,6 +38,11 @@ def test_hyperparams_validation():
     assert trainer.Hyperparams(m=10, k=7).kprime == 10
 
 
+def test_hyperparams_rejects_non_integral_m():
+    with pytest.raises(TypeError):
+        trainer.Hyperparams(m=8.0, k=2)
+
+
 def test_lagrangian_matches_direct_recomputation():
     rng = np.random.default_rng(20)
     for _ in range(10):
@@ -374,6 +379,27 @@ def test_update_q_beats_plain_passthrough():
     assert q_objective(Q) <= q_objective(C) + 1e-9
 
 
+def test_prox_and_update_q_at_zero_weight_return_their_target_bit_for_bit():
+    # why update_Q needs no lam == 0 branch: at gamma = 0 the prox is the
+    # identity bit for bit, -0.0 entries and tied magnitudes included
+    rng = np.random.default_rng(31)
+    C = np.round(rng.standard_normal((10, 40)), 1)
+    C[rng.random(C.shape) < 0.2] = 0.0
+    C[rng.random(C.shape) < 0.2] = -0.0
+    assert np.signbit(C[C == 0.0]).any() and not np.signbit(C[C == 0.0]).all()
+    for kprime in (1, 4, 10):
+        assert prox.prox_k2(C, kprime, 0.0).tobytes() == C.tobytes()
+        for c in C.T:
+            assert prox.prox_k2(c, kprime, 0.0).tobytes() == c.tobytes()
+    n, m, N, k = 7, 10, 15, 2
+    hp = trainer.Hyperparams(m=m, k=k, lam=0.0, theta=0.3, beta=0.8)
+    state = _random_state(rng, n, m, N, k)
+    X = _data(rng, n, N)
+    W = state.W.data
+    target = W.T @ X.data - (W.T @ W) @ state.Z.data - state.Y / hp.beta
+    assert trainer.update_Q(state, X, hp).tobytes() == target.tobytes()
+
+
 def test_w_gradient_matches_finite_differences():
     rng = np.random.default_rng(27)
     worst = 0.0
@@ -426,6 +452,18 @@ def test_update_w_near_stationary_point_stays_put():
     X = _data(rng, n, N)
     W_new = trainer.update_W(state, X, hp)
     assert np.allclose(W_new.data, state.W.data)
+
+
+def test_update_w_line_search_failure_warns_and_keeps_the_input(monkeypatch):
+    rng = np.random.default_rng(32)
+    n, m, N, k = 6, 9, 10, 2
+    hp = trainer.Hyperparams(m=m, k=k, lam=0.3, theta=0.5)
+    state = _random_state(rng, n, m, N, k)
+    X = _data(rng, n, N)
+    monkeypatch.setattr(trainer, "_retract", lambda W, direction, tau: None)
+    with pytest.warns(LineSearchFailed):
+        W_new = trainer.update_W(state, X, hp)
+    assert np.max(np.abs(W_new.data - state.W.data)) <= 1e-15
 
 
 def test_line_search_failed_is_a_warning_category():
