@@ -16,7 +16,7 @@ from .core import (
     save_data_matrix,
     save_dictionary,
 )
-from .encoder import ave_dif, encode_batch, max_k, max_k_columns, support
+from .encoder import ave_dif, encode_batch, max_k, max_k_columns
 from .prox import k2_norm_sq, prox_k2, prox_objective
 from . import errors
 
@@ -40,5 +40,4 @@ __all__ = [
     "prox_objective",
     "save_data_matrix",
     "save_dictionary",
-    "support",
 ]

@@ -1,8 +1,7 @@
 """Reference methods the benchmark compares against.
 
-Provides a random-dictionary control, orthogonal matching pursuit for
-per-sample sparse coding, and a K-SVD dictionary learner whose codes come
-from OMP.
+Provides orthogonal matching pursuit for per-sample sparse coding and a
+K-SVD dictionary learner whose codes come from OMP.
 """
 
 from __future__ import annotations
@@ -16,12 +15,6 @@ from .errors import DimensionMismatch, SingularSubproblem, check_k
 
 RIDGE = 1e-12
 RESIDUAL_FLOOR = 1e-10
-
-
-def random_dictionary(n: int, m: int, seed: int) -> core.Dictionary:
-    """Seeded Gaussian dictionary with unit-norm columns."""
-    rng = np.random.default_rng(seed)
-    return core.normalize_columns(rng.standard_normal((n, m)))
 
 
 @dataclass(frozen=True)
@@ -165,7 +158,7 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
     """
     n, N = X.data.shape
     k = check_k(k, m)
-    W = random_dictionary(n, m, seed).data.copy()
+    W = core.random_dictionary(n, m, seed).data.copy()
 
     for _ in range(iters):
         Z = omp_gram(core.Dictionary(W), X, k)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import time
 import traceback
 from dataclasses import asdict, dataclass, replace
@@ -36,8 +37,6 @@ class SyntheticInstance:
     W0: Dictionary
     Ztrue: SparseCodeBatch
     X: DataMatrix
-    noise_std: float
-    seed: int
 
 
 @dataclass
@@ -63,13 +62,15 @@ class BenchConfig:
         for k in self.k_list:  # the trainer's own rule for each cell
             trainer.Hyperparams(self.m, k, self.lam, self.theta, self.beta,
                                 outer_iters=self.dltf_outer_iters)
-        if self.ksvd_iters < 1:
+        if operator.index(self.ksvd_iters) < 1:
             raise ValueError("ksvd_iters must be at least 1")
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
+        if self.out == "":
+            raise ValueError("out must be a non-empty path prefix")
 
 
 def _binary_codes(rng: np.random.Generator, m: int, N: int, k: int) -> np.ndarray:
@@ -80,12 +81,11 @@ def _binary_codes(rng: np.random.Generator, m: int, N: int, k: int) -> np.ndarra
 
 
 def _instance_from(W0: Dictionary, N: int, k: int, noise_std: float,
-                   rng: np.random.Generator, seed: int) -> SyntheticInstance:
+                   rng: np.random.Generator) -> SyntheticInstance:
     n, m = W0.data.shape
     Z = _binary_codes(rng, m, N, k)
     X = W0.data @ Z + noise_std * rng.standard_normal((n, N))
-    return SyntheticInstance(W0=W0, Ztrue=SparseCodeBatch(Z, k),
-                             X=DataMatrix(X), noise_std=noise_std, seed=seed)
+    return SyntheticInstance(W0=W0, Ztrue=SparseCodeBatch(Z, k), X=DataMatrix(X))
 
 
 def generate_synthetic(n: int, m: int, N: int, k: int, noise_std: float,
@@ -94,10 +94,9 @@ def generate_synthetic(n: int, m: int, N: int, k: int, noise_std: float,
     binary codes with exactly k ones per column, additive Gaussian noise.
     """
     k = check_k(k, m)
-    ss = np.random.SeedSequence(seed)
-    w_rng, d_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    W0 = core.normalize_columns(w_rng.standard_normal((n, m)))
-    return _instance_from(W0, N, k, noise_std, d_rng, seed)
+    w_seq, d_seq = np.random.SeedSequence(seed).spawn(2)
+    W0 = core.random_dictionary(n, m, w_seq)
+    return _instance_from(W0, N, k, noise_std, np.random.default_rng(d_seq))
 
 
 def align_atoms(W_learned: Dictionary, W_ref: Dictionary) -> Dictionary:
@@ -106,7 +105,7 @@ def align_atoms(W_learned: Dictionary, W_ref: Dictionary) -> Dictionary:
     canonical atom order, so support comparisons against codes expressed in
     W_ref's indexing require this step.
     """
-    C = np.abs(W_ref.data.T @ W_learned.data).copy()
+    C = np.abs(W_ref.data.T @ W_learned.data)
     m = C.shape[0]
     if C.shape[0] != C.shape[1]:
         raise ValueError("alignment requires equal atom counts")
@@ -133,8 +132,7 @@ def _build_dictionary(method: str, cfg: BenchConfig, k: int, seed: int,
     if method == "original":
         return train_inst.W0, {}
     if method == "random":
-        rng = _cell_rng(seed, _STREAM_RANDOM, k)
-        return core.normalize_columns(rng.standard_normal((cfg.n, cfg.m))), {}
+        return core.random_dictionary(cfg.n, cfg.m, _cell_rng(seed, _STREAM_RANDOM, k)), {}
     if method == "ksvd":
         W = baselines.ksvd_train(train_inst.X, cfg.m, k, iters=cfg.ksvd_iters,
                                  seed=_cell_seed_int(seed, _STREAM_KSVD, k))
@@ -162,12 +160,11 @@ def run_support_recovery_bench(cfg: BenchConfig) -> dict:
     partial = False
     for seed in cfg.seeds:
         for k in cfg.k_list:
-            w_rng = _cell_rng(seed, 0, k)
-            W0 = core.normalize_columns(w_rng.standard_normal((cfg.n, cfg.m)))
+            W0 = core.random_dictionary(cfg.n, cfg.m, _cell_rng(seed, 0, k))
             train_inst = _instance_from(W0, cfg.N_train, k, cfg.noise_std,
-                                        _cell_rng(seed, _STREAM_TRAIN, k), seed)
+                                        _cell_rng(seed, _STREAM_TRAIN, k))
             test_inst = _instance_from(W0, cfg.N_test, k, cfg.noise_std,
-                                       _cell_rng(seed, _STREAM_TEST, k), seed)
+                                       _cell_rng(seed, _STREAM_TEST, k))
             for method in cfg.methods:
                 cell = {"method": method, "k": k, "seed": seed}
                 try:
@@ -221,9 +218,15 @@ def write_report(report: dict, out_prefix: str) -> tuple[str, str]:
     return json_path, csv_path
 
 
-# sweep param -> the BenchConfig field it sets and that field's type
-SWEEP_FIELDS = {"lambda": ("lam", float), "theta": ("theta", float), "n": ("n", int)}
-SWEEP_PARAMS = tuple(SWEEP_FIELDS)
+def _whole(value) -> int:
+    """value as an int; ValueError if it has a fractional part (8.7)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{value} is not a whole number")
+    return int(value)
+
+
+# sweep param -> the BenchConfig field it sets and its cast from the grid
+SWEEP_FIELDS = {"lambda": ("lam", float), "theta": ("theta", float), "n": ("n", _whole)}
 
 
 def run_param_sweep(cfg: BenchConfig, param: str, grid: list[float]) -> list[dict]:
@@ -231,17 +234,15 @@ def run_param_sweep(cfg: BenchConfig, param: str, grid: list[float]) -> list[dic
     regenerates instances at each point (m stays fixed); lambda and theta
     only change the trainer.
     """
-    if param not in SWEEP_PARAMS:
-        raise ValueError(f"sweep param must be one of {SWEEP_PARAMS}")
+    if param not in SWEEP_FIELDS:
+        raise ValueError(f"sweep param must be one of {tuple(SWEEP_FIELDS)}")
     if not grid:
         raise ValueError("empty sweep grid")
-    series = []
     name, cast = SWEEP_FIELDS[param]
-    for value in grid:
-        point_cfg = replace(cfg, out=None, **{name: cast(value)})
-        report = run_support_recovery_bench(point_cfg)
-        series.append({"param": param, "value": value, "report": report})
-    return series
+    # every point's config is checked before the first point runs
+    configs = [replace(cfg, out=None, **{name: cast(value)}) for value in grid]
+    return [{"param": param, "value": value, "report": run_support_recovery_bench(point)}
+            for value, point in zip(grid, configs)]
 
 
 ENCODE_REPEATS = 5

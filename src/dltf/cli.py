@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -33,38 +34,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _given(args, cls) -> dict:
+    """The flags given on the command line whose dest is a field of cls."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+            if getattr(args, f.name, None) is not None}
+
+
 def _config_from_args(args) -> bench.BenchConfig:
     fields: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if "lambda" in raw:  # JSON key mirrors the math symbol
-            raw["lam"] = raw.pop("lambda")
-        for key in ("k_list", "seeds", "methods"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        fields.update(raw)
-    if getattr(args, "n", None) is not None:
-        fields["n"] = args.n
-    if getattr(args, "m", None) is not None:
-        fields["m"] = args.m
-    if getattr(args, "N", None) is not None:
-        fields["N_train"] = args.N
-        fields["N_test"] = args.N
-    if getattr(args, "k", None):
-        fields["k_list"] = tuple(args.k)
-    if getattr(args, "lam", None) is not None:
-        fields["lam"] = args.lam
-    if getattr(args, "theta", None) is not None:
-        fields["theta"] = args.theta
-    if getattr(args, "beta", None) is not None:
-        fields["beta"] = args.beta
-    if getattr(args, "seed", None):
-        fields["seeds"] = tuple(args.seed)
-    if getattr(args, "methods", None):
-        fields["methods"] = tuple(args.methods.split(","))
-    if getattr(args, "out", None):
-        fields["out"] = args.out
+            fields = dict(json.load(fh))
+        if "lambda" in fields:  # JSON key mirrors the math symbol
+            fields["lam"] = fields.pop("lambda")
+    if args.N is not None:
+        fields["N_train"] = fields["N_test"] = args.N
+    fields.update(_given(args, bench.BenchConfig))
+    for key in ("k_list", "seeds", "methods"):
+        if key in fields:
+            fields[key] = tuple(fields[key])
     return bench.BenchConfig(**fields)
 
 
@@ -73,13 +61,13 @@ def _add_bench_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--N", type=int, help="sets both N_train and N_test")
-    p.add_argument("--k", type=int, nargs="+")
+    p.add_argument("--k", dest="k_list", type=int, nargs="+")
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--theta", type=float)
     p.add_argument("--beta", type=float)
-    p.add_argument("--seed", type=int, nargs="+")
-    p.add_argument("--methods", help="comma-separated subset of "
-                                     + ",".join(bench.METHODS))
+    p.add_argument("--seed", dest="seeds", type=int, nargs="+")
+    p.add_argument("--methods", type=lambda s: s.split(","),
+                   help="comma-separated subset of " + ",".join(bench.METHODS))
     p.add_argument("--out", help="output path prefix for .json/.csv reports")
 
 
@@ -115,8 +103,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_train(args) -> int:
     X = core.load_data_matrix(args.data)
-    hp = trainer.Hyperparams(m=args.m, k=args.k, lam=args.lam, theta=args.theta,
-                             beta=args.beta, outer_iters=args.iters)
+    hp = trainer.Hyperparams(**_given(args, trainer.Hyperparams))
     W, state = trainer.train(X, hp, seed=args.seed)
     core.save_dictionary(W, args.out)
     if args.log:
@@ -176,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="hyperparameter sweeps")
     _add_bench_flags(p)
-    p.add_argument("--param", required=True, choices=bench.SWEEP_PARAMS)
+    p.add_argument("--param", required=True, choices=bench.SWEEP_FIELDS)
     p.add_argument("--grid", required=True, type=float, nargs="+")
     p.set_defaults(func=_cmd_sweep)
 
@@ -184,10 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    p.add_argument("--theta", type=float, default=0.01)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--iters", type=int, default=30)
+    p.add_argument("--lambda", dest="lam", type=float)  # unset: Hyperparams' defaults
+    p.add_argument("--theta", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--iters", dest="outer_iters", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="JSON diagnostics path")

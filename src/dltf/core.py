@@ -33,6 +33,13 @@ ZERO_NORM_FLOOR = 1e-12
 _HEADER = struct.Struct("<4sBQQ")
 
 
+def _freeze(container, arr: np.ndarray) -> None:
+    """Store a read-only copy of arr as the frozen container's data."""
+    arr = arr.copy()
+    arr.flags.writeable = False
+    object.__setattr__(container, "data", arr)
+
+
 def as_finite_array(values, name: str, ndims=(2,)) -> np.ndarray:
     """values as a non-empty, finite float64 array of one of the given
     ranks; DimensionMismatch or ValueError otherwise."""
@@ -59,9 +66,7 @@ class Dictionary:
                 "dictionary columns must have unit norm within "
                 f"{UNIT_NORM_ATOL:g}; worst deviation {np.max(np.abs(norms - 1.0)):.3e}"
             )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        _freeze(self, arr)
 
     @property
     def n(self) -> int:
@@ -79,9 +84,7 @@ class DataMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = as_finite_array(self.data, "data matrix").copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        _freeze(self, as_finite_array(self.data, "data matrix"))
 
     @property
     def n(self) -> int:
@@ -105,9 +108,7 @@ class SparseCodeBatch:
         nnz = np.count_nonzero(arr, axis=0)
         if np.max(nnz) > k:
             raise InvalidK(f"a column has {int(np.max(nnz))} nonzeros, limit is k={k}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        _freeze(self, arr)
         object.__setattr__(self, "k", k)
 
 
@@ -124,6 +125,13 @@ def normalize_columns(raw) -> Dictionary:
     if bad.size:
         raise ZeroColumn(f"column {int(bad[0])} has norm {norms[bad[0]]:.3e} < {ZERO_NORM_FLOOR:g}")
     return Dictionary(arr / norms)
+
+
+def random_dictionary(n: int, m: int, seed) -> Dictionary:
+    """Seeded Gaussian n x m dictionary with unit-norm columns. seed is
+    anything np.random.default_rng takes; a Generator is drawn from as is."""
+    rng = np.random.default_rng(seed)
+    return normalize_columns(rng.standard_normal((n, m)))
 
 
 def gram(W: Dictionary) -> np.ndarray:

@@ -72,11 +72,6 @@ def encode_batch(W: Dictionary, X: DataMatrix, k: int) -> np.ndarray:
     return max_k_columns(W.data.T @ X.data, k)
 
 
-def support(v: np.ndarray) -> np.ndarray:
-    """Boolean mask of exactly-nonzero entries."""
-    return np.asarray(v) != 0
-
-
 def ave_dif(Z_hat: np.ndarray, Z_ref: np.ndarray) -> float:
     """Average support difference between two code batches.
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataMatrix, Dictionary, SparseCodeBatch, normalize_columns
+from .core import DataMatrix, Dictionary, SparseCodeBatch, normalize_columns, random_dictionary
 from .encoder import max_k_columns
 from .errors import LineSearchFailed, MonotonicityViolated, PowerIterationDiverged, check_k
 from .prox import k2_norm_sq, prox_k2
@@ -34,8 +34,9 @@ from .prox import k2_norm_sq, prox_k2
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Trainer knobs. beta must be positive; lam and theta finite and
-    nonnegative."""
+    """Trainer knobs. beta must be positive; lam, theta and the three
+    tolerances finite and nonnegative; the iteration counts integers of at
+    least 1."""
 
     m: int
     k: int
@@ -56,10 +57,11 @@ class Hyperparams:
         check_k(self.k, self.m)
         if not (self.beta > 0.0) or not math.isfinite(self.beta):
             raise ValueError(f"beta={self.beta} must be positive")
-        if not (0.0 <= self.lam < math.inf and 0.0 <= self.theta < math.inf):
-            raise ValueError("lam and theta must be finite and nonnegative")
+        for name in ("lam", "theta", "iht_tol", "w_grad_tol", "primal_tol"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name}={getattr(self, name)} must be finite and nonnegative")
         for name in ("outer_iters", "iht_iters", "w_iters", "power_iters"):
-            if getattr(self, name) < 1:
+            if operator.index(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
     @property
@@ -384,11 +386,9 @@ def update_Y(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> np.ndarray:
 
 def init_state(X: DataMatrix, hp: Hyperparams, seed) -> TrainerState:
     """Seeded Gaussian dictionary, zero codes, zero split and dual."""
-    rng = np.random.default_rng(seed)
-    W = normalize_columns(rng.standard_normal((X.n, hp.m)))
     shape = (hp.m, X.N)
     return TrainerState(
-        W=W,
+        W=random_dictionary(X.n, hp.m, seed),
         Z=SparseCodeBatch(np.zeros(shape), hp.k),
         Q=np.zeros(shape),
         Y=np.zeros(shape),

@@ -9,9 +9,9 @@ from dltf.errors import DimensionMismatch, InvalidK, SingularSubproblem
 
 
 def test_random_dictionary_unit_norm_and_deterministic():
-    W1 = baselines.random_dictionary(12, 20, seed=4)
-    W2 = baselines.random_dictionary(12, 20, seed=4)
-    W3 = baselines.random_dictionary(12, 20, seed=5)
+    W1 = core.random_dictionary(12, 20, seed=4)
+    W2 = core.random_dictionary(12, 20, seed=4)
+    W3 = core.random_dictionary(12, 20, seed=5)
     assert W1.data.tobytes() == W2.data.tobytes()
     assert not np.allclose(W1.data, W3.data)
     assert np.max(np.abs(np.linalg.norm(W1.data, axis=0) - 1.0)) <= 1e-12
@@ -45,7 +45,7 @@ def test_omp_early_stop_on_zero_residual():
 
 def test_omp_never_reselects_and_respects_k():
     rng = np.random.default_rng(42)
-    W = baselines.random_dictionary(10, 25, seed=1)
+    W = core.random_dictionary(10, 25, seed=1)
     for _ in range(30):
         x = rng.standard_normal(10)
         res = baselines.omp(W, x, 6)
@@ -55,14 +55,14 @@ def test_omp_never_reselects_and_respects_k():
 
 def test_omp_residual_decreases_with_k():
     rng = np.random.default_rng(43)
-    W = baselines.random_dictionary(12, 30, seed=2)
+    W = core.random_dictionary(12, 30, seed=2)
     x = rng.standard_normal(12)
     norms = [baselines.omp(W, x, k).residual_norm for k in (1, 3, 6, 12)]
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
 def test_omp_validation():
-    W = baselines.random_dictionary(8, 12, seed=3)
+    W = core.random_dictionary(8, 12, seed=3)
     with pytest.raises(DimensionMismatch):
         baselines.omp(W, np.ones(9), 2)
     with pytest.raises(InvalidK):
@@ -73,7 +73,7 @@ def test_omp_validation():
 
 def test_omp_batch_matches_per_sample():
     rng = np.random.default_rng(44)
-    W = baselines.random_dictionary(9, 15, seed=6)
+    W = core.random_dictionary(9, 15, seed=6)
     X = DataMatrix(rng.standard_normal((9, 7)))
     Z = baselines.omp_batch(W, X, 3)
     for i in range(7):
@@ -89,12 +89,12 @@ def _assert_gram_matches_batch(W, X, k):
 
 def test_omp_gram_matches_batch_on_random_dictionaries():
     rng = np.random.default_rng(47)
-    W = baselines.random_dictionary(12, 20, seed=9)
+    W = core.random_dictionary(12, 20, seed=9)
     X = DataMatrix(rng.standard_normal((12, 60)))
     for k in (1, 3, 20):
         _assert_gram_matches_batch(W, X, k)
     # the shape of the benchmark cells, at both of their k
-    W = baselines.random_dictionary(64, 128, seed=10)
+    W = core.random_dictionary(64, 128, seed=10)
     X = DataMatrix(rng.standard_normal((64, 150)))
     for k in (4, 8):
         _assert_gram_matches_batch(W, X, k)
@@ -132,7 +132,7 @@ def test_omp_gram_never_reselects():
 
 
 def test_omp_gram_validation():
-    W = baselines.random_dictionary(8, 12, seed=3)
+    W = core.random_dictionary(8, 12, seed=3)
     with pytest.raises(DimensionMismatch):
         baselines.omp_gram(W, DataMatrix(np.ones((9, 2))), 2)
     with pytest.raises(InvalidK):
@@ -145,7 +145,7 @@ def test_omp_gram_singular_solve_raises(monkeypatch):
     def singular(A, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    W = baselines.random_dictionary(8, 12, seed=3)
+    W = core.random_dictionary(8, 12, seed=3)
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(SingularSubproblem):
         baselines.omp_gram(W, DataMatrix(np.ones((8, 2))), 2)
@@ -172,7 +172,7 @@ def test_ksvd_learns_generator_atoms():
         Wa = bench.align_atoms(Wk, W0)
         match = np.abs((Wa.data * W0.data).sum(axis=0))
         assert np.median(match) >= 0.6
-        Wi = baselines.random_dictionary(n, m, seed)
+        Wi = core.random_dictionary(n, m, seed)
         e_init = np.linalg.norm(X.data - Wi.data @ baselines.omp_batch(Wi, X, k))
         e_out = np.linalg.norm(X.data - Wk.data @ baselines.omp_batch(Wk, X, k))
         assert e_out <= 0.7 * e_init

@@ -1,12 +1,14 @@
 """Benchmark pipeline and CLI tests at desk scale."""
 
+import argparse
+import dataclasses
 import json
 import time
 
 import numpy as np
 import pytest
 
-from dltf import baselines, bench, cli, core, encoder
+from dltf import baselines, bench, cli, core, encoder, trainer
 from dltf.errors import InvalidK
 
 
@@ -90,6 +92,11 @@ def test_bench_config_validation():
             tiny_config(**bad)
     with pytest.raises(TypeError):
         tiny_config(m=24.0)
+    for bad in (dict(ksvd_iters=2.5), dict(dltf_outer_iters=1.5)):
+        with pytest.raises(TypeError):
+            tiny_config(**bad)
+    with pytest.raises(ValueError):
+        tiny_config(out="")
 
 
 def test_bench_report_structure():
@@ -160,6 +167,23 @@ def test_sweep_rejects_unknown_param():
         bench.run_param_sweep(tiny_config(), "beta", [1.0])
     with pytest.raises(ValueError):
         bench.run_param_sweep(tiny_config(), "lambda", [])
+
+
+def test_sweep_n_rejects_a_fractional_size(monkeypatch):
+    # 8.7 must not run n=8 under the label 8.7, and a bad point stops the
+    # sweep before any point runs; whole floats (argparse's parse of
+    # "--grid 16") still run
+    def no_run(cfg):
+        raise AssertionError("a point ran before the grid was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bench, "run_support_recovery_bench", no_run)
+        for param, grid in (("n", [16.0, 8.7]), ("lambda", [0.05, float("nan")])):
+            with pytest.raises(ValueError):
+                bench.run_param_sweep(tiny_config(), param, grid)
+    series = bench.run_param_sweep(tiny_config(), "n", [12.0])
+    assert series[0]["value"] == 12.0
+    assert series[0]["report"]["config"]["n"] == 12
 
 
 def test_sweep_theta_leaves_instances_alone():
@@ -250,6 +274,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
     cfg_path.write_text(json.dumps({
         "n": 16, "m": 24, "N_train": 120, "N_test": 120, "k_list": [2],
         "seeds": [0], "methods": ["original"], "lambda": 0.5,
+        "theta": 0.5, "beta": 3.0,
     }))
     prefix = str(tmp_path / "r")
     code = run_cli(["synth-bench", "--config", str(cfg_path),
@@ -260,6 +285,21 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert report["config"]["lam"] == 0.5
     assert report["config"]["N_train"] == 100
     assert report["config"]["N_test"] == 100
+    assert (report["config"]["theta"], report["config"]["beta"]) == (0.5, 3.0)
+
+    # every flag that sets a field overrides the file's value
+    code = run_cli(["synth-bench", "--config", str(cfg_path), "--n", "12",
+                    "--m", "20", "--k", "3", "--seed", "1", "2",
+                    "--methods", "random,original", "--lambda", "0.2",
+                    "--theta", "0.03", "--beta", "2", "--out", prefix])
+    assert code == 0
+    with open(prefix + ".json", encoding="utf-8") as fh:
+        config = json.load(fh)["config"]
+    assert {key: config[key] for key in ("n", "m", "k_list", "seeds", "methods",
+                                         "lam", "theta", "beta", "N_train")} == {
+        "n": 12, "m": 20, "k_list": [3], "seeds": [1, 2],
+        "methods": ["random", "original"], "lam": 0.2, "theta": 0.03,
+        "beta": 2.0, "N_train": 120}
 
 
 def test_cli_rejects_unknown_method(tmp_path):
@@ -267,6 +307,24 @@ def test_cli_rejects_unknown_method(tmp_path):
                     "--k", "2", "--seed", "0", "--methods", "original,ghost",
                     "--out", str(tmp_path / "x")])
     assert code == 1
+
+
+@pytest.mark.parametrize("flag", [["--methods", ""], ["--out", ""]])
+def test_cli_empty_methods_or_out_exits_one_without_report(tmp_path, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)  # an empty --out would write .json/.csv here
+    code = run_cli(["synth-bench", "--n", "16", "--m", "24", "--N", "100",
+                    "--k", "2", "--seed", "0", "--methods", "original",
+                    "--out", str(tmp_path / "x")] + flag)
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_sweep_fractional_n_exits_one_without_report(tmp_path):
+    code = run_cli(["sweep", "--param", "n", "--grid", "16", "8.7", "--m", "24",
+                    "--N", "100", "--k", "2", "--seed", "0", "--methods", "original",
+                    "--out", str(tmp_path / "sw")])
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", [["--beta", "0"], ["--lambda", "-1"], ["--lambda", "nan"]])
@@ -307,6 +365,45 @@ def test_cli_train_encode_coherence_round_trip(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "mutual coherence" in out
+
+
+def test_cli_train_without_weight_flags_uses_hyperparams_defaults(tmp_path):
+    rng = np.random.default_rng(6)
+    X = core.DataMatrix(rng.standard_normal((10, 60)))
+    data_path = str(tmp_path / "X.dltx")
+    core.save_data_matrix(X, data_path)
+    dict_path = str(tmp_path / "W.dltf")
+    code = run_cli(["train", "--data", data_path, "--m", "14", "--k", "2",
+                    "--seed", "9", "--out", dict_path])
+    assert code == 0
+    W, _ = trainer.train(X, trainer.Hyperparams(m=14, k=2), seed=9)
+    expected = str(tmp_path / "expected.dltf")
+    core.save_dictionary(W, expected)
+    with open(dict_path, "rb") as got, open(expected, "rb") as want:
+        assert got.read() == want.read()
+
+
+# Flags that set no field of the command's dataclass, each read by name.
+NON_FIELD_FLAGS = {
+    "synth-bench": {"config", "N"},
+    "sweep": {"config", "N", "param", "grid"},
+    "train": {"data", "seed", "out", "log"},
+}
+
+
+@pytest.mark.parametrize("command, cls", [("synth-bench", bench.BenchConfig),
+                                          ("sweep", bench.BenchConfig),
+                                          ("train", trainer.Hyperparams)])
+def test_cli_flag_dests_are_fields(command, cls):
+    # cli._given passes on only the flags whose dest is a field, so a
+    # misspelt dest would be dropped without a word
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    fields = {f.name for f in dataclasses.fields(cls)}
+    stray = [action.dest for action in sub.choices[command]._actions
+             if action.option_strings and not isinstance(action, argparse._HelpAction)
+             and action.dest not in fields | NON_FIELD_FLAGS[command]]
+    assert not stray, stray
 
 
 def test_cli_missing_file_is_validation_error(tmp_path):

@@ -31,6 +31,14 @@ def test_normalize_columns_zero_column():
         core.normalize_columns(A)
 
 
+def test_random_dictionary_takes_a_seed_or_a_generator():
+    for seed in (0, 7, 12345):
+        by_int = core.random_dictionary(9, 14, seed)
+        by_rng = core.random_dictionary(9, 14, np.random.default_rng(seed))
+        assert by_int.data.tobytes() == by_rng.data.tobytes()
+    assert np.allclose(np.linalg.norm(by_int.data, axis=0), 1.0, atol=1e-12)
+
+
 def test_dictionary_rejects_unnormalized():
     with pytest.raises(ValueError):
         core.Dictionary(np.full((3, 2), 2.0))

@@ -89,9 +89,11 @@ def test_encode_batch_dimension_mismatch():
         encoder.encode_batch(W, X, 3)
 
 
-def test_support_exact_zero():
-    v = np.array([0.0, 1e-300, -0.0, 2.0])
-    assert np.array_equal(encoder.support(v), [False, True, False, True])
+def test_ave_dif_exact_zero():
+    # supports are exact: 1e-300 counts as nonzero, -0.0 does not
+    v = np.array([[0.0], [1e-300], [-0.0], [2.0]])
+    assert encoder.ave_dif(v, [[0.0], [1.0], [0.0], [1.0]]) == 0.0
+    assert encoder.ave_dif(v, np.zeros((4, 1))) == 1.0
 
 
 def test_ave_dif_basics():

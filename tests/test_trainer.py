@@ -43,6 +43,27 @@ def test_hyperparams_rejects_non_integral_m():
         trainer.Hyperparams(m=8.0, k=2)
 
 
+def test_hyperparams_rejects_bad_tolerances_and_counts():
+    nan = float("nan")
+    for name in ("iht_tol", "w_grad_tol", "primal_tol"):
+        for bad in (nan, -1e-9, float("inf")):
+            with pytest.raises(ValueError):
+                trainer.Hyperparams(m=8, k=2, **{name: bad})
+    for name in ("outer_iters", "iht_iters", "w_iters", "power_iters"):
+        with pytest.raises(TypeError):
+            trainer.Hyperparams(m=8, k=2, **{name: 2.5})
+    hp = trainer.Hyperparams(m=8, k=2, iht_tol=0.0, w_grad_tol=0.0, primal_tol=0.0)
+    assert hp.primal_tol == 0.0
+
+
+def test_init_state_draws_core_random_dictionary():
+    X = _data(np.random.default_rng(2), 7, 30)
+    hp = trainer.Hyperparams(m=11, k=2)
+    for seed in (0, 5, 2**40):
+        W = trainer.init_state(X, hp, seed).W
+        assert W.data.tobytes() == core.random_dictionary(X.n, hp.m, seed).data.tobytes()
+
+
 def test_lagrangian_matches_direct_recomputation():
     rng = np.random.default_rng(20)
     for _ in range(10):
