@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import operator
 import time
 import traceback
 from dataclasses import asdict, dataclass, replace
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__, baselines, core, encoder, guarantees, trainer
 from .core import DataMatrix, Dictionary, SparseCodeBatch
-from .errors import check_k
+from .errors import check_int, check_k
 
 # RNG stream ids under one (seed, k) cell
 _STREAM_TRAIN = 1
@@ -57,13 +56,12 @@ class BenchConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if min(self.n, self.m, self.N_train, self.N_test) < 1:
-            raise ValueError("dimensions must be positive")
+        for name in ("n", "m", "N_train", "N_test", "dltf_outer_iters", "ksvd_iters"):
+            if check_int(getattr(self, name), name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         for k in self.k_list:  # the trainer's own rule for each cell
             trainer.Hyperparams(self.m, k, self.lam, self.theta, self.beta,
                                 outer_iters=self.dltf_outer_iters)
-        if operator.index(self.ksvd_iters) < 1:
-            raise ValueError("ksvd_iters must be at least 1")
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}")

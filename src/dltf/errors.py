@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and its one k-range check.
+"""Exception types shared across the library, its one integer check and
+its one k-range check.
 
 Everything raised on purpose derives from DltfError so callers can catch
 library failures without also swallowing programming errors.
@@ -23,10 +24,18 @@ class InvalidK(DltfError):
     """Sparsity level outside the valid range for the operand."""
 
 
+def check_int(value, name: str) -> int:
+    """value as an int. A value that is not an integer (2.5, or even 4.0)
+    raises TypeError naming the field rather than truncating."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name}={value!r} must be an integer") from None
+
+
 def check_k(k, m: int) -> int:
-    """k as an int, or InvalidK unless 1 <= k <= m. A k that is not an
-    integer (2.7, or even 4.0) raises TypeError rather than truncating."""
-    k = operator.index(k)
+    """k as an int (check_int), or InvalidK unless 1 <= k <= m."""
+    k = check_int(k, "k")
     if not 1 <= k <= m:
         raise InvalidK(f"k={k} outside [1, {m}]")
     return k

@@ -51,6 +51,13 @@ def subgradient_best(instances: list[ProxInstance], total_iters: int = 100_000,
     start) pair becomes one row of a single batch; padding coordinates have
     c = 0 so their optimum is 0 and the padded problem's optimal value
     equals the original one. The iteration budget is split across starts.
+
+    Rows with gamma = 0 carry no k'-term: 0 * top is 0, and the gradient
+    term 0 * q * mask is a zero of q's sign, which leaves 2 * diff as it
+    is. So they run behind the others, and only the gamma > 0 rows are
+    sorted and summed. The sum of the k' largest squares is a running sum
+    over the descending order: the same additions, in the same order, as
+    a cumsum along the row.
     """
     rng = np.random.default_rng(seed)
     B = len(instances)
@@ -68,20 +75,42 @@ def subgradient_best(instances: list[ProxInstance], total_iters: int = 100_000,
     scale = np.maximum(np.abs(C).max(axis=1), 1.0)
     q = rng.standard_normal((R, PAD_M)) * scale[:, None]
     q[::STARTS] = C[::STARTS]  # one start from c itself
+
+    order = np.argsort(gam == 0.0, kind="stable")  # gamma > 0 rows first
+    C, kp, gam, q = C[order], kp[order], gam[order], q[order]
+    R1 = int(np.count_nonzero(gam))
+    q1, kp1, gam1 = q[:R1], kp[:R1], gam[:R1]
+    gam2 = 2.0 * gam1[:, None]
+    # flat indices of the k'-th largest square in each ascending row, and
+    # of the k'-th partial sum in the running sum (one column per row)
+    kth_at = np.arange(R1) * PAD_M + (PAD_M - kp1)
+    top_at = (kp1 - 1) * R1 + np.arange(R1)
+    q2, srt, mask, term = (np.empty((R1, PAD_M)) for _ in range(4))
+    run = np.empty((PAD_M, R1))
+    diff, upd = np.empty((R, PAD_M)), np.empty((R, PAD_M))
+    obj = np.empty(R)
     best = np.full(R, np.inf)
-    rows = np.arange(R)
-    gcol = gam[:, None]
     for t in range(iters):
-        q2 = q * q
-        sorted_sq = -np.sort(-q2, axis=1)
-        mask = q2 >= sorted_sq[rows, kp - 1][:, None]
-        top = np.cumsum(sorted_sq, axis=1)[rows, kp - 1]
-        diff = q - C
-        obj = gam * top + np.einsum("ij,ij->i", diff, diff)
+        np.subtract(q, C, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=obj)
+        np.multiply(q1, q1, out=q2)
+        srt[...] = q2
+        srt.sort(axis=1)
+        np.greater_equal(q2, srt.take(kth_at)[:, None], out=mask)
+        run[0] = srt[:, -1]
+        for j in range(1, PAD_M):
+            np.add(run[j - 1], srt[:, -1 - j], out=run[j])
+        obj[:R1] += gam1 * run.take(top_at)
         np.minimum(best, obj, out=best)
         # strongly convex with modulus 2 from the quadratic term
         step = 1.0 / (2.0 * (t + 1))
-        q = q - step * (2.0 * diff + 2.0 * gcol * q * mask)
+        np.multiply(diff, 2.0, out=upd)
+        np.multiply(gam2, q1, out=term)
+        term *= mask
+        upd[:R1] += term
+        upd *= step
+        q -= upd
+    best[order] = best.copy()  # back to instance order
     return best.reshape(B, STARTS).min(axis=1)
 
 
@@ -107,10 +136,12 @@ def oracle_equivalence_suite(count: int = 1000, seed: int = 12345,
 
     Returns a dict with max_gap (solver objective minus oracle best,
     positive means the solver did worse), min_sweep_margin, and pass flags
-    at the 1e-9 / -1e-10 thresholds. ValueError unless count >= 1.
+    at the 1e-9 / -1e-10 thresholds. ValueError unless count, total_iters
+    and ndirs are all at least 1.
     """
-    if count < 1:
-        raise ValueError(f"count={count} must be at least 1")
+    for name, value in (("count", count), ("total_iters", total_iters), ("ndirs", ndirs)):
+        if value < 1:
+            raise ValueError(f"{name}={value} must be at least 1")
     instances = random_instances(count, seed)
     oracle = subgradient_best(instances, total_iters=total_iters, seed=seed + 1)
     max_gap = -np.inf

@@ -19,7 +19,6 @@ deterministic given (X, hyperparams, seed).
 from __future__ import annotations
 
 import math
-import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +27,8 @@ import numpy as np
 
 from .core import DataMatrix, Dictionary, SparseCodeBatch, normalize_columns, random_dictionary
 from .encoder import max_k_columns
-from .errors import LineSearchFailed, MonotonicityViolated, PowerIterationDiverged, check_k
+from .errors import (LineSearchFailed, MonotonicityViolated, PowerIterationDiverged,
+                     check_int, check_k)
 from .prox import k2_norm_sq, prox_k2
 
 
@@ -52,7 +52,7 @@ class Hyperparams:
     primal_tol: float = 1e-5
 
     def __post_init__(self):
-        if operator.index(self.m) < 1:
+        if check_int(self.m, "m") < 1:
             raise ValueError(f"m={self.m} must be positive")
         check_k(self.k, self.m)
         if not (self.beta > 0.0) or not math.isfinite(self.beta):
@@ -61,7 +61,7 @@ class Hyperparams:
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name}={getattr(self, name)} must be finite and nonnegative")
         for name in ("outer_iters", "iht_iters", "w_iters", "power_iters"):
-            if operator.index(getattr(self, name)) < 1:
+            if check_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
     @property

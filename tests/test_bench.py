@@ -90,10 +90,12 @@ def test_bench_config_validation():
                 dict(dltf_outer_iters=0), dict(ksvd_iters=0)):
         with pytest.raises(ValueError):
             tiny_config(**bad)
-    with pytest.raises(TypeError):
-        tiny_config(m=24.0)
-    for bad in (dict(ksvd_iters=2.5), dict(dltf_outer_iters=1.5)):
-        with pytest.raises(TypeError):
+    for bad in (dict(m=24.0), dict(n=16.5), dict(N_train=200.0), dict(N_test=1.5),
+                dict(ksvd_iters=2.5), dict(dltf_outer_iters=1.5), dict(ksvd_iters=3.0),
+                dict(k_list=(2, 4.0))):
+        name = next(iter(bad))
+        field = "k" if name == "k_list" else name
+        with pytest.raises(TypeError, match=f"^{field}=.* must be an integer$"):
             tiny_config(**bad)
     with pytest.raises(ValueError):
         tiny_config(out="")

@@ -308,3 +308,97 @@ def test_k2_norm_sq_sums_over_columns():
         assert abs(prox.k2_norm_sq(M, k) - per_column) <= 1e-12 * per_column
     with pytest.raises(InvalidK):
         prox.k2_norm_sq(M, 10)
+
+
+def subgradient_best_loop(instances, total_iters, seed):
+    """The plain subgradient loop over every (instance, start) row: the
+    reference ``selftest.subgradient_best`` must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    STARTS, PAD_M = selftest.STARTS, selftest.PAD_M
+    B = len(instances)
+    R = B * STARTS
+    C = np.zeros((R, PAD_M))
+    kp = np.zeros(R, dtype=np.int64)
+    gam = np.zeros(R)
+    for i, inst in enumerate(instances):
+        rows = slice(i * STARTS, (i + 1) * STARTS)
+        C[rows, :inst.c.size] = inst.c
+        kp[rows] = inst.kprime
+        gam[rows] = inst.gamma
+
+    iters = max(1, total_iters // STARTS)
+    scale = np.maximum(np.abs(C).max(axis=1), 1.0)
+    q = rng.standard_normal((R, PAD_M)) * scale[:, None]
+    q[::STARTS] = C[::STARTS]
+    best = np.full(R, np.inf)
+    rows = np.arange(R)
+    gcol = gam[:, None]
+    for t in range(iters):
+        q2 = q * q
+        sorted_sq = -np.sort(-q2, axis=1)
+        mask = q2 >= sorted_sq[rows, kp - 1][:, None]
+        top = np.cumsum(sorted_sq, axis=1)[rows, kp - 1]
+        diff = q - C
+        obj = gam * top + np.einsum("ij,ij->i", diff, diff)
+        np.minimum(best, obj, out=best)
+        step = 1.0 / (2.0 * (t + 1))
+        q = q - step * (2.0 * diff + 2.0 * gcol * q * mask)
+    return best.reshape(B, STARTS).min(axis=1)
+
+
+def _full_k_instances():
+    """k' = m = PAD_M for every gamma, with and without signed zeros in c,
+    then a few random shorter instances."""
+    rng = np.random.default_rng(31)
+    m = selftest.PAD_M
+    out = [selftest.ProxInstance(c=rng.standard_normal(m) * 3.0, kprime=m, gamma=g)
+           for g in selftest.GAMMA_CHOICES]
+    zeros = np.array([0.0, -0.0, 1.5, -0.0, 0.0, -2.0, 0.0, 0.5, -0.0, 0.0])
+    out += [selftest.ProxInstance(c=zeros, kprime=m, gamma=g) for g in selftest.GAMMA_CHOICES]
+    out += selftest.random_instances(6, 32)
+    return out
+
+
+# (instances, total_iters, seed). The budgets are below the suite's 100_000
+# to keep the test short; every iteration runs the same code.
+ORACLE_INPUTS = {
+    **{f"random-200-s{s}": (lambda s=s: selftest.random_instances(200, s), 5_000, s + 1)
+       for s in range(4)},
+    "criterion-1-input": (lambda: selftest.random_instances(1000, 12345), 2_500, 12346),
+    "one-instance-gamma-0": (lambda: selftest.random_instances(1, 7), 10_000, 8),
+    "one-iteration": (lambda: selftest.random_instances(40, 9), selftest.STARTS - 1, 10),
+    "full-k": (_full_k_instances, 10_000, 11),
+}
+
+
+@pytest.mark.parametrize("make, total_iters, seed", ORACLE_INPUTS.values(),
+                         ids=ORACLE_INPUTS.keys())
+def test_subgradient_best_matches_plain_loop(make, total_iters, seed):
+    instances = make()
+    got = selftest.subgradient_best(instances, total_iters=total_iters, seed=seed)
+    want = subgradient_best_loop(instances, total_iters, seed)
+    assert np.array_equal(got, want)
+
+
+def test_oracle_equivalence_suite_report_from_plain_loop():
+    count, seed, total_iters, ndirs = 8, 5, 500, 10
+    instances = selftest.random_instances(count, seed)
+    oracle = subgradient_best_loop(instances, total_iters, seed + 1)
+    gaps, margins = [], []
+    for i, inst in enumerate(instances):
+        q = prox.prox_k2(inst.c, inst.kprime, inst.gamma)
+        gaps.append(prox.prox_objective(q, inst.c, inst.kprime, inst.gamma) - oracle[i])
+        margins.append(selftest.direction_sweep_margin(inst, q, ndirs, selftest.SWEEP_EPS,
+                                                       seed + 2 + i))
+    want = {"count": count, "max_gap": float(max(gaps)), "min_sweep_margin": float(min(margins)),
+            "oracle_ok": bool(max(gaps) <= 1e-9), "sweep_ok": bool(min(margins) >= -1e-10)}
+    assert selftest.oracle_equivalence_suite(count=count, seed=seed, total_iters=total_iters,
+                                             ndirs=ndirs) == want
+
+
+@pytest.mark.parametrize("bad", [dict(count=0), dict(total_iters=0), dict(total_iters=-5),
+                                 dict(ndirs=0)])
+def test_oracle_equivalence_suite_rejects_empty_budgets(bad):
+    name, value = next(iter(bad.items()))
+    with pytest.raises(ValueError, match=f"{name}={value} must be at least 1"):
+        selftest.oracle_equivalence_suite(**{**dict(count=2, total_iters=50, ndirs=5), **bad})

@@ -39,7 +39,7 @@ def test_hyperparams_validation():
 
 
 def test_hyperparams_rejects_non_integral_m():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="m=8.0 must be an integer"):
         trainer.Hyperparams(m=8.0, k=2)
 
 
@@ -50,7 +50,7 @@ def test_hyperparams_rejects_bad_tolerances_and_counts():
             with pytest.raises(ValueError):
                 trainer.Hyperparams(m=8, k=2, **{name: bad})
     for name in ("outer_iters", "iht_iters", "w_iters", "power_iters"):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=f"^{name}=2.5 must be an integer$"):
             trainer.Hyperparams(m=8, k=2, **{name: 2.5})
     hp = trainer.Hyperparams(m=8, k=2, iht_tol=0.0, w_grad_tol=0.0, primal_tol=0.0)
     assert hp.primal_tol == 0.0
