@@ -11,10 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import DimensionMismatch, SingularSubproblem, check_k
+from .errors import DimensionMismatch, SingularSubproblem, check_int, check_k
 
 RIDGE = 1e-12
 RESIDUAL_FLOOR = 1e-10
+POWER_ITERS = 50
+POWER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -125,21 +127,21 @@ def omp_gram(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
     return Z
 
 
-def _dominant_pair(R: np.ndarray, v0: np.ndarray,
-                   iters: int = 50, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def _dominant_pair(R: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dominant singular pair of the small residual block R (n x uses)
-    by alternating power iteration, started from v0.
+    by alternating power iteration, started from v0: at most POWER_ITERS
+    steps, stopping once u moves less than POWER_TOL.
     Returns (u, s*v) with u unit-norm.
     """
     u = v0 / max(np.linalg.norm(v0), 1e-300)
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         v = R.T @ u
         u_new = R @ v
         nrm = np.linalg.norm(u_new)
         if nrm < 1e-300:
             return u, R.T @ u
         u_new /= nrm
-        if np.linalg.norm(u_new - u) < tol:
+        if np.linalg.norm(u_new - u) < POWER_TOL:
             u = u_new
             break
         u = u_new
@@ -154,10 +156,13 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
     lockstep), then updates atoms one at a time by the dominant singular
     pair of the residual restricted to the samples using that atom. Unused
     atoms are replaced by the sample worst represented at the start of the
-    sweep (each sample claimed at most once per sweep).
+    sweep (each sample claimed at most once per sweep). ValueError unless
+    iters is at least 1.
     """
-    n, N = X.data.shape
+    n = X.data.shape[0]
     k = check_k(k, m)
+    if check_int(iters, "iters") < 1:
+        raise ValueError(f"iters={iters} must be at least 1")
     W = core.random_dictionary(n, m, seed).data.copy()
 
     for _ in range(iters):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 import traceback
 from dataclasses import asdict, dataclass, replace
@@ -59,14 +60,17 @@ class BenchConfig:
         for name in ("n", "m", "N_train", "N_test", "dltf_outer_iters", "ksvd_iters"):
             if check_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        for name in ("k_list", "seeds", "methods"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         for k in self.k_list:  # the trainer's own rule for each cell
             trainer.Hyperparams(self.m, k, self.lam, self.theta, self.beta,
                                 outer_iters=self.dltf_outer_iters)
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std={self.noise_std} must be finite and nonnegative")
         if self.out == "":
             raise ValueError("out must be a non-empty path prefix")
 

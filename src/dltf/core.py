@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FileFormatError, InvalidK, ZeroColumn, check_k
+from .errors import DimensionMismatch, FileFormatError, InvalidK, ZeroColumn, check_int, check_k
 
 MAGIC_DICTIONARY = b"DLTF"
 MAGIC_DATA = b"DLTX"
@@ -193,9 +193,16 @@ def dictionary_to_json(W: Dictionary) -> dict:
 
 def dictionary_from_json(obj: dict) -> Dictionary:
     try:
-        n, m, flat = int(obj["n"]), int(obj["m"]), obj["data"]
+        n, m, flat = obj["n"], obj["m"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"JSON dictionary missing field: {exc}") from exc
+    try:
+        n, m = check_int(n, "n"), check_int(m, "m")
+    except TypeError as exc:
+        raise FileFormatError(f"JSON dictionary field {exc}") from None
+    for name, value in (("n", n), ("m", m)):
+        if value < 1:
+            raise FileFormatError(f"JSON dictionary field {name}={value} must be at least 1")
     flat = np.asarray(flat, dtype=np.float64)
     if flat.size != n * m:
         raise DimensionMismatch(f"JSON dictionary promises {n}x{m}, data has {flat.size} entries")

@@ -45,16 +45,15 @@ class CoherenceReport:
 
 @dataclass(frozen=True)
 class GuaranteeVerdict:
-    """Outcome of a condition check: holds iff lhs <= rhs; margin = rhs - lhs."""
+    """Outcome of a condition check: holds iff lhs <= rhs."""
 
     holds: bool
     lhs: float
     rhs: float
-    margin: float
 
 
 def _verdict(lhs: float, rhs: float) -> GuaranteeVerdict:
-    return GuaranteeVerdict(bool(lhs <= rhs), float(lhs), float(rhs), float(rhs - lhs))
+    return GuaranteeVerdict(bool(lhs <= rhs), float(lhs), float(rhs))
 
 
 def mutual_coherence(W: Dictionary) -> CoherenceReport:

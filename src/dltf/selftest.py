@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prox
+from .errors import check_int
 
 PAD_M = 10
 GAMMA_CHOICES = (0.0, 0.1, 1.0, 10.0)
@@ -140,7 +141,7 @@ def oracle_equivalence_suite(count: int = 1000, seed: int = 12345,
     and ndirs are all at least 1.
     """
     for name, value in (("count", count), ("total_iters", total_iters), ("ndirs", ndirs)):
-        if value < 1:
+        if check_int(value, name) < 1:
             raise ValueError(f"{name}={value} must be at least 1")
     instances = random_instances(count, seed)
     oracle = subgradient_best(instances, total_iters=total_iters, seed=seed + 1)

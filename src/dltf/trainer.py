@@ -238,30 +238,30 @@ def update_Q(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> np.ndarray:
 
 class _WSubproblem:
     """Dictionary-step objective and gradient with data-size work hoisted
-    out: after the one-time products every evaluation is O(n m^2 + m^3),
-    independent of the sample count."""
+    out. With G = W^T W, A = W^T (X - WZ) and S = Y + beta Q,
+
+        f(W) = ||G - I||^2 - <W, L> + <G, K> + beta/2 ||A||^2 + c,
+        L = X S^T + theta X Z^T,  K = S Z^T + theta/2 Z Z^T,
+        c = theta/2 ||X||^2 + beta/2 ||Q||^2,
+
+    so after five one-time products (X X^T, X Z^T, Z Z^T, X S^T, S Z^T)
+    every evaluation is O(n m^2 + m^3), independent of the sample count."""
 
     def __init__(self, Xd, Z, Q, Y, hp: Hyperparams):
-        self.theta = hp.theta
         self.beta = hp.beta
         self.eye = np.eye(Z.shape[0])
         self.XXt = Xd @ Xd.T
         self.XZt = Xd @ Z.T
         self.ZZt = Z @ Z.T
-        self.XYt = Xd @ Y.T
-        self.XQt = Xd @ Q.T
-        self.YZt = Y @ Z.T
-        self.QZt = Q @ Z.T
-        self.x_sq = float((Xd * Xd).sum())
-        self.q_sq = float((Q * Q).sum())
+        S = hp.beta * Q
+        S += Y
+        self.L = Xd @ S.T + hp.theta * self.XZt
+        self.K = S @ Z.T + 0.5 * hp.theta * self.ZZt
+        self.const = 0.5 * hp.theta * float((Xd * Xd).sum()) + 0.5 * hp.beta * float((Q * Q).sum())
 
     def value(self, W: np.ndarray) -> float:
         G = W.T @ W
         dev = G - self.eye
-        gram_pen = float((dev * dev).sum())
-        recon = self.x_sq - 2.0 * float((W * self.XZt).sum()) + float((G * self.ZZt).sum())
-        y_dot_A = float((W * self.XYt).sum()) - float((G * self.YZt).sum())
-        q_dot_A = float((W * self.XQt).sum()) - float((G * self.QZt).sum())
         M = self.XZt.T @ W
         a_sq = (
             float((W * (self.XXt @ W)).sum())
@@ -269,26 +269,22 @@ class _WSubproblem:
             + float(((G @ G) * self.ZZt).sum())
         )
         return (
-            gram_pen
-            + 0.5 * self.theta * recon
-            - y_dot_A
-            + 0.5 * self.beta * (self.q_sq - 2.0 * q_dot_A + a_sq)
+            float((dev * dev).sum())
+            - float((W * self.L).sum())
+            + float((G * self.K).sum())
+            + 0.5 * self.beta * a_sq
+            + self.const
         )
 
     def grad(self, W: np.ndarray) -> np.ndarray:
         G = W.T @ W
-        ZAt = self.XZt.T @ W - self.ZZt @ G
         XAt = self.XXt @ W - self.XZt @ G
-        RYt = self.XYt - W @ self.YZt.T
-        RQt = self.XQt - W @ self.QZt.T
-        RAt = XAt - W @ ZAt
-        RSt = -RYt + self.beta * (RAt - RQt)
-        SZt = -self.YZt + self.beta * (ZAt.T - self.QZt)
+        ZAt = self.XZt.T @ W - self.ZZt @ G
         return (
             4.0 * (W @ (G - self.eye))
-            - self.theta * (self.XZt - W @ self.ZZt)
-            + RSt
-            - W @ SZt
+            - self.L
+            + W @ (self.K + self.K.T - self.beta * (ZAt + ZAt.T))
+            + self.beta * XAt
         )
 
 
@@ -329,7 +325,7 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
     returns the input dictionary unchanged.
     """
     P = _WSubproblem(X.data, state.Z.data, state.Q, state.Y, hp)
-    W = state.W.data.copy()
+    W = state.W.data
     f = P.value(W)
     hist = [f]
     pg = _project_tangent(W, P.grad(W))

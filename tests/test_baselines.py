@@ -204,6 +204,12 @@ def test_ksvd_validation():
         baselines.ksvd_train(X, 10, 0)
     with pytest.raises(InvalidK):
         baselines.ksvd_train(X, 10, 11)
+    for iters in (0, -3):
+        with pytest.raises(ValueError, match=f"^iters={iters} must be at least 1$"):
+            baselines.ksvd_train(X, 10, 2, iters=iters)
+    for iters in (1.5, 2.0, "3"):
+        with pytest.raises(TypeError, match="^iters=.* must be an integer$"):
+            baselines.ksvd_train(X, 10, 2, iters=iters)
 
 
 def test_ksvd_codes_as_per_sample_omp(monkeypatch):

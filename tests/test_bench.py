@@ -83,8 +83,12 @@ def test_bench_config_validation():
         tiny_config(k_list=(50,))
     with pytest.raises(ValueError):
         tiny_config(methods=("original", "mystery"))
-    with pytest.raises(ValueError):
-        tiny_config(noise_std=-0.1)
+    for bad in (dict(noise_std=-0.1), dict(noise_std=float("nan")),
+                dict(noise_std=float("inf")), dict(k_list=()), dict(seeds=()),
+                dict(methods=())):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=f"^{name}"):
+            tiny_config(**bad)
     for bad in (dict(beta=0.0), dict(lam=-1.0), dict(theta=-1.0),
                 dict(lam=float("nan")), dict(theta=float("inf")),
                 dict(dltf_outer_iters=0), dict(ksvd_iters=0)):
@@ -319,6 +323,21 @@ def test_cli_empty_methods_or_out_exits_one_without_report(tmp_path, monkeypatch
                     "--out", str(tmp_path / "x")] + flag)
     assert code == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", ['"methods": []', '"k_list": []', '"seeds": []',
+                                 '"noise_std": NaN', '"noise_std": Infinity'])
+def test_cli_bad_config_file_exits_one_without_report(tmp_path, capsys, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"n": 16, "m": 24, "N_train": 100, "N_test": 100, '
+                        '"k_list": [2], "seeds": [0], "methods": ["original"], '
+                        + bad + "}")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = run_cli(["synth-bench", "--config", str(cfg_path), "--out", str(out / "r")])
+    assert code == 1
+    assert list(out.iterdir()) == []
+    assert bad.split(":")[0].strip('"') in capsys.readouterr().err
 
 
 def test_cli_sweep_fractional_n_exits_one_without_report(tmp_path):

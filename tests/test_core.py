@@ -133,6 +133,15 @@ def test_json_missing_field():
         core.dictionary_from_json({"n": 2, "data": [1.0, 0.0]})
 
 
+@pytest.mark.parametrize("dims, field", [
+    (dict(n=2.5, m=2), "n"), (dict(n="2", m=2), "n"), (dict(n=2, m=2.0), "m"),
+    (dict(n=2, m=None), "m"), (dict(n=-2, m=-2), "n"), (dict(n=2, m=0), "m"),
+])
+def test_json_dimensions_must_be_positive_integers(dims, field):
+    with pytest.raises(FileFormatError, match=f"field {field}="):
+        core.dictionary_from_json({**dims, "data": [1.0, 0.0, 0.0, 1.0]})
+
+
 def test_sparse_code_batch_enforces_k():
     Z = np.zeros((6, 4))
     Z[0, :] = 1.0

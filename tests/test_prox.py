@@ -397,8 +397,13 @@ def test_oracle_equivalence_suite_report_from_plain_loop():
 
 
 @pytest.mark.parametrize("bad", [dict(count=0), dict(total_iters=0), dict(total_iters=-5),
-                                 dict(ndirs=0)])
+                                 dict(ndirs=0), dict(count=2.5), dict(total_iters=50.0),
+                                 dict(ndirs=5.0)])
 def test_oracle_equivalence_suite_rejects_empty_budgets(bad):
     name, value = next(iter(bad.items()))
-    with pytest.raises(ValueError, match=f"{name}={value} must be at least 1"):
+    if isinstance(value, int):
+        error, rule = ValueError, "at least 1"
+    else:
+        error, rule = TypeError, "an integer"
+    with pytest.raises(error, match=f"^{name}={value} must be {rule}$"):
         selftest.oracle_equivalence_suite(**{**dict(count=2, total_iters=50, ndirs=5), **bad})

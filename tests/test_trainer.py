@@ -446,6 +446,27 @@ def test_w_gradient_matches_finite_differences():
     assert worst <= 1e-5
 
 
+def test_w_objective_is_the_lagrangian_w_part():
+    # the terms without W are the gauge penalty and <Y, Q>; the rest is
+    # the dictionary-step objective
+    rng = np.random.default_rng(32)
+    worst = 0.0
+    for beta, theta, lam in ((1.7, 0.4, 0.3), (0.3, 2.5, 0.05), (4.0, 0.0, 1.0),
+                             (0.6, 0.05, 0.0)):
+        for _ in range(5):
+            n, m, N, k = 6, 9, 14, 3
+            hp = trainer.Hyperparams(m=m, k=k, lam=lam, theta=theta, beta=beta)
+            state = _random_state(rng, n, m, N, k)
+            X = _data(rng, n, N)
+            Q, Y = state.Q, state.Y
+            got = (trainer.w_objective(state.W.data, X, state.Z.data, Q, Y, hp)
+                   + 0.5 * hp.lam * prox.k2_norm_sq(Q, hp.kprime)
+                   + float((Y * Q).sum()))
+            expected = trainer.lagrangian_value(state, X, hp)
+            worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
+    assert worst <= 1e-10
+
+
 def test_update_w_descends_and_stays_unit_norm():
     rng = np.random.default_rng(28)
     for trial in range(5):
