@@ -63,6 +63,9 @@ class BenchConfig:
         for name in ("k_list", "seeds", "methods"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+        for seed in self.seeds:
+            if check_int(seed, "seeds") < 0:
+                raise ValueError(f"seeds entry {seed} must be nonnegative")
         for k in self.k_list:  # the trainer's own rule for each cell
             trainer.Hyperparams(self.m, k, self.lam, self.theta, self.beta,
                                 outer_iters=self.dltf_outer_iters)

@@ -20,13 +20,12 @@ from .errors import (
     BudgetExceeded,
     DltfError,
     MonotonicityViolated,
-    PowerIterationDiverged,
     SingularSubproblem,
 )
 
 VALIDATION_ERRORS = (DltfError, ValueError, OSError, KeyError, TypeError)
-NUMERICAL_ERRORS = (PowerIterationDiverged, SingularSubproblem, BudgetExceeded,
-                    MonotonicityViolated, np.linalg.LinAlgError, FloatingPointError)
+NUMERICAL_ERRORS = (SingularSubproblem, BudgetExceeded, MonotonicityViolated,
+                    np.linalg.LinAlgError, FloatingPointError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,6 +51,8 @@ def _config_from_args(args) -> bench.BenchConfig:
     fields.update(_given(args, bench.BenchConfig))
     for key in ("k_list", "seeds", "methods"):
         if key in fields:
+            if not isinstance(fields[key], list):
+                raise ValueError(f"{key}={fields[key]!r} must be a list")
             fields[key] = tuple(fields[key])
     return bench.BenchConfig(**fields)
 

@@ -26,11 +26,14 @@ class InvalidK(DltfError):
 
 def check_int(value, name: str) -> int:
     """value as an int. A value that is not an integer (2.5, or even 4.0)
-    raises TypeError naming the field rather than truncating."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name}={value!r} must be an integer") from None
+    or is a bool (an int subclass, so True would pass as 1) raises
+    TypeError naming the field rather than truncating."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name}={value!r} must be an integer")
 
 
 def check_k(k, m: int) -> int:
@@ -59,10 +62,6 @@ class DeltaOutOfRange(DltfError):
 
 class DenominatorNonpositive(DltfError):
     """The norm lower bound's denominator is not positive."""
-
-
-class PowerIterationDiverged(DltfError):
-    """Power iteration produced a non-finite or non-positive estimate."""
 
 
 class MonotonicityViolated(DltfError):

@@ -6,7 +6,8 @@ reconstruction term (theta/2) ||X - WZ||_F^2, subject to k-sparse codes
 and unit-norm atoms. The augmented Lagrangian splits it into four
 updates per round:
 
-    Z: iterative hard thresholding on the smooth part (step 1/L),
+    Z: iterative hard thresholding on the smooth part (step 0.99/L, with
+       L the exact largest eigenvalue of its Hessian),
     Q: per-column prox of the squared (2k,2) norm (gamma = lambda/beta),
     W: Riemannian descent on the product of spheres (Barzilai-Borwein
        step, nonmonotone backtracking, renormalization retraction),
@@ -27,8 +28,7 @@ import numpy as np
 
 from .core import DataMatrix, Dictionary, SparseCodeBatch, normalize_columns, random_dictionary
 from .encoder import max_k_columns
-from .errors import (LineSearchFailed, MonotonicityViolated, PowerIterationDiverged,
-                     check_int, check_k)
+from .errors import LineSearchFailed, MonotonicityViolated, check_int, check_k
 from .prox import k2_norm_sq, prox_k2
 
 
@@ -48,7 +48,6 @@ class Hyperparams:
     iht_tol: float = 1e-8
     w_iters: int = 30
     w_grad_tol: float = 1e-6
-    power_iters: int = 20
     primal_tol: float = 1e-5
 
     def __post_init__(self):
@@ -60,7 +59,7 @@ class Hyperparams:
         for name in ("lam", "theta", "iht_tol", "w_grad_tol", "primal_tol"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name}={getattr(self, name)} must be finite and nonnegative")
-        for name in ("outer_iters", "iht_iters", "w_iters", "power_iters"):
+        for name in ("outer_iters", "iht_iters", "w_iters"):
             if check_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
@@ -106,23 +105,6 @@ def primal_residual(state: TrainerState, X: DataMatrix) -> float:
     return float(np.linalg.norm(R))
 
 
-def _smooth_step_bound(H: np.ndarray, iters: int) -> float:
-    """Largest eigenvalue of the symmetric PSD matrix H via power iteration."""
-    m = H.shape[0]
-    v = 1.0 + np.arange(m) / (10.0 * m)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = H @ v
-        nrm = float(np.linalg.norm(w))
-        if not math.isfinite(nrm) or nrm <= 0.0:
-            raise PowerIterationDiverged(f"power iteration produced norm {nrm}")
-        v = w / nrm
-    L = float(v @ (H @ v))
-    if not math.isfinite(L) or L <= 0.0:
-        raise PowerIterationDiverged(f"step bound estimate {L} is unusable")
-    return L
-
-
 def support_rows(Z: np.ndarray, k: int) -> np.ndarray:
     """k row indices per column of Z, as a k x N array: the column's
     nonzero rows, then its zero rows, each in ascending order."""
@@ -161,6 +143,8 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     the Lagrangian, the quadratic f(Z) = 1/2 <Z, HZ> + <b, Z> + c with
     D = Q - W^T X, G = W^T W, H = theta G + beta G^2,
     b = G (Y + beta D) - theta W^T X and c = theta/2 ||X||^2 + beta/2 ||D||^2.
+    Each step moves 0.99/L along the gradient HZ + b, with L the largest
+    eigenvalue of H, computed exactly (eigvalsh).
 
     The inner loop starts from whichever of the current codes or the
     thresholded feature max_k(W^T X) scores lower; codes must keep
@@ -182,7 +166,7 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     H = hp.theta * G + hp.beta * (G @ G)
     b = G @ (state.Y + hp.beta * D) - hp.theta * WtX
     c = 0.5 * hp.theta * float((Xd * Xd).sum()) + 0.5 * hp.beta * float((D * D).sum())
-    eta = 0.99 / _smooth_step_bound(H, hp.power_iters)
+    eta = 0.99 / np.linalg.eigvalsh(H)[-1]
     buf = np.empty_like(b)
     work = np.empty_like(b)
 

@@ -96,11 +96,14 @@ def test_bench_config_validation():
             tiny_config(**bad)
     for bad in (dict(m=24.0), dict(n=16.5), dict(N_train=200.0), dict(N_test=1.5),
                 dict(ksvd_iters=2.5), dict(dltf_outer_iters=1.5), dict(ksvd_iters=3.0),
-                dict(k_list=(2, 4.0))):
+                dict(k_list=(2, 4.0)), dict(n=True), dict(ksvd_iters=True),
+                dict(k_list=(True,)), dict(seeds=(True,)), dict(seeds=(0, 0.5))):
         name = next(iter(bad))
         field = "k" if name == "k_list" else name
         with pytest.raises(TypeError, match=f"^{field}=.* must be an integer$"):
             tiny_config(**bad)
+    with pytest.raises(ValueError, match="^seeds entry -1 must be nonnegative$"):
+        tiny_config(seeds=(0, -1))
     with pytest.raises(ValueError):
         tiny_config(out="")
 
@@ -326,7 +329,10 @@ def test_cli_empty_methods_or_out_exits_one_without_report(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("bad", ['"methods": []', '"k_list": []', '"seeds": []',
-                                 '"noise_std": NaN', '"noise_std": Infinity'])
+                                 '"noise_std": NaN', '"noise_std": Infinity',
+                                 '"seeds": [true]', '"n": true', '"seeds": [-1]',
+                                 '"seeds": [0.5]', '"methods": "dltf"',
+                                 '"k_list": 4'])
 def test_cli_bad_config_file_exits_one_without_report(tmp_path, capsys, bad):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"n": 16, "m": 24, "N_train": 100, "N_test": 100, '

@@ -136,6 +136,7 @@ def test_json_missing_field():
 @pytest.mark.parametrize("dims, field", [
     (dict(n=2.5, m=2), "n"), (dict(n="2", m=2), "n"), (dict(n=2, m=2.0), "m"),
     (dict(n=2, m=None), "m"), (dict(n=-2, m=-2), "n"), (dict(n=2, m=0), "m"),
+    (dict(n=True, m=4), "n"), (dict(n=4, m=True), "m"),
 ])
 def test_json_dimensions_must_be_positive_integers(dims, field):
     with pytest.raises(FileFormatError, match=f"field {field}="):

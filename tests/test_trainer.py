@@ -49,9 +49,14 @@ def test_hyperparams_rejects_bad_tolerances_and_counts():
         for bad in (nan, -1e-9, float("inf")):
             with pytest.raises(ValueError):
                 trainer.Hyperparams(m=8, k=2, **{name: bad})
-    for name in ("outer_iters", "iht_iters", "w_iters", "power_iters"):
-        with pytest.raises(TypeError, match=f"^{name}=2.5 must be an integer$"):
-            trainer.Hyperparams(m=8, k=2, **{name: 2.5})
+    for name in ("outer_iters", "iht_iters", "w_iters"):
+        for bad in (2.5, True):
+            with pytest.raises(TypeError, match=f"^{name}={bad} must be an integer$"):
+                trainer.Hyperparams(m=8, k=2, **{name: bad})
+    with pytest.raises(TypeError, match="^m=True must be an integer$"):
+        trainer.Hyperparams(m=True, k=1)
+    with pytest.raises(TypeError, match="^k=True must be an integer$"):
+        trainer.Hyperparams(m=8, k=True)
     hp = trainer.Hyperparams(m=8, k=2, iht_tol=0.0, w_grad_tol=0.0, primal_tol=0.0)
     assert hp.primal_tol == 0.0
 
@@ -278,7 +283,7 @@ def _reference_update_z(state, X, hp, trace):
     H = hp.theta * G + hp.beta * (G @ G)
     b = G @ (state.Y + hp.beta * D) - hp.theta * WtX
     c = 0.5 * hp.theta * float((X.data * X.data).sum()) + 0.5 * hp.beta * float((D * D).sum())
-    eta = 0.99 / trainer._smooth_step_bound(H, hp.power_iters)
+    eta = 0.99 / np.linalg.eigvalsh(H)[-1]
 
     def value(Z, HZ):
         return float((Z * (0.5 * HZ + b)).sum()) + c
@@ -302,6 +307,26 @@ def _reference_update_z(state, X, hp, trace):
             break
         f_prev = f
     return Z
+
+
+def test_iht_step_is_at_most_099_over_largest_hessian_eigenvalue():
+    # k = m thresholds nothing, and Z0 = W^T X is also the thresholded
+    # start, so one step is exactly Z1 = Z0 - eta (H Z0 + b).
+    hp = trainer.Hyperparams(m=32, k=32, iht_iters=1)
+    X = _data(np.random.default_rng(4), 16, 60)
+    state = trainer.init_state(X, hp, seed=9)
+    W = state.W.data  # random_dictionary(16, 32, 9)
+    state.Z = SparseCodeBatch(W.T @ X.data, hp.k)
+    G = W.T @ W
+    H = hp.theta * G + hp.beta * (G @ G)
+    b = G @ (state.Y + hp.beta * (state.Q - W.T @ X.data)) - hp.theta * W.T @ X.data
+    g = H @ state.Z.data + b
+    Z1 = trainer.update_Z(state, X, hp).data
+    eta = float(((state.Z.data - Z1) * g).sum()) / float((g * g).sum())
+    # H's eigenvalues are theta s + beta s^2 over the eigenvalues s of G,
+    # the largest at the squared spectral norm of W
+    s = np.linalg.norm(W, 2) ** 2
+    assert eta * (hp.theta * s + hp.beta * s * s) <= 0.99 * (1 + 1e-12)
 
 
 def _fallback_widths(monkeypatch, state, X, hp):
