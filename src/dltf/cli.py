@@ -103,6 +103,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed={args.seed} must be nonnegative")
     X = core.load_data_matrix(args.data)
     hp = trainer.Hyperparams(**_given(args, trainer.Hyperparams))
     W, state = trainer.train(X, hp, seed=args.seed)

@@ -13,8 +13,10 @@ updates per round:
        step, nonmonotone backtracking, renormalization retraction),
     Y: dual ascent  Y += beta (Q - W^T (X - WZ)).
 
-All updates are deterministic given their inputs; train() is
-deterministic given (X, hyperparams, seed).
+The two inner loops evaluate once per point: the code step reads its
+value from its gradient, and the dictionary step gets value and gradient
+from one call. All updates are deterministic given their inputs; train()
+is deterministic given (X, hyperparams, seed).
 """
 
 from __future__ import annotations
@@ -143,8 +145,9 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     the Lagrangian, the quadratic f(Z) = 1/2 <Z, HZ> + <b, Z> + c with
     D = Q - W^T X, G = W^T W, H = theta G + beta G^2,
     b = G (Y + beta D) - theta W^T X and c = theta/2 ||X||^2 + beta/2 ||D||^2.
-    Each step moves 0.99/L along the gradient HZ + b, with L the largest
-    eigenvalue of H, computed exactly (eigvalsh).
+    Each step moves 0.99/L along the gradient g = HZ + b, with L the largest
+    eigenvalue of H, computed exactly (eigvalsh); the value comes from the
+    same g, as f(Z) = 1/2 (<Z, g> + <Z, b>) + c.
 
     The inner loop starts from whichever of the current codes or the
     thresholded feature max_k(W^T X) scores lower; codes must keep
@@ -170,36 +173,30 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     buf = np.empty_like(b)
     work = np.empty_like(b)
 
-    def value(Z, HZ):
-        # (Z * (0.5 HZ + b)).sum() in place, operation for operation
-        np.multiply(0.5, HZ, out=buf)
-        np.add(buf, b, out=buf)
-        np.multiply(Z, buf, out=buf)
-        return float(buf.sum()) + c
+    def evaluate(Z):
+        g = H @ Z
+        g += b
+        return g, 0.5 * (float(np.vdot(Z, g)) + float(np.vdot(Z, b))) + c
 
     Z = state.Z.data
-    HZ = H @ Z
-    f_prev = value(Z, HZ)
+    g, f_prev = evaluate(Z)
     Z_thr = max_k_columns(WtX, hp.k)
-    HZ_thr = H @ Z_thr
-    f_thr = value(Z_thr, HZ_thr)
+    g_thr, f_thr = evaluate(Z_thr)
     if f_thr < f_prev:
-        Z, HZ, f_prev = Z_thr, HZ_thr, f_thr
+        Z, g, f_prev = Z_thr, g_thr, f_thr
     if trace is not None:
         trace.append(f_prev)
     rows = None
     for _ in range(hp.iht_iters):
-        # buf = Z - eta * (HZ + b)
-        np.add(HZ, b, out=buf)
-        np.multiply(eta, buf, out=buf)
+        # buf = Z - eta * g
+        np.multiply(eta, g, out=buf)
         np.subtract(Z, buf, out=buf)
         if rows is None:  # first step: no support to check yet
             Z_new = max_k_columns(buf, hp.k)
             rows = support_rows(Z_new, hp.k)
         else:
             Z_new, rows = max_k_on_support(buf, rows, hp.k, work)
-        HZ = H @ Z_new
-        f = value(Z_new, HZ)
+        g, f = evaluate(Z_new)
         if f > f_prev + 1e-12 * max(1.0, abs(f_prev)):
             raise MonotonicityViolated(f"hard-thresholding step ascended: {f_prev} -> {f}")
         if trace is not None:
@@ -229,7 +226,9 @@ class _WSubproblem:
         c = theta/2 ||X||^2 + beta/2 ||Q||^2,
 
     so after five one-time products (X X^T, X Z^T, Z Z^T, X S^T, S Z^T)
-    every evaluation is O(n m^2 + m^3), independent of the sample count."""
+    each evaluate(W) call gives the value and gradient together from one
+    G, X X^T W and Z X^T W, in O(n m^2 + m^3) independent of the sample
+    count."""
 
     def __init__(self, Xd, Z, Q, Y, hp: Hyperparams):
         self.beta = hp.beta
@@ -243,44 +242,42 @@ class _WSubproblem:
         self.K = S @ Z.T + 0.5 * hp.theta * self.ZZt
         self.const = 0.5 * hp.theta * float((Xd * Xd).sum()) + 0.5 * hp.beta * float((Q * Q).sum())
 
-    def value(self, W: np.ndarray) -> float:
+    def evaluate(self, W: np.ndarray):
         G = W.T @ W
         dev = G - self.eye
+        XXW = self.XXt @ W
         M = self.XZt.T @ W
         a_sq = (
-            float((W * (self.XXt @ W)).sum())
+            float((W * XXW).sum())
             - 2.0 * float((G * M.T).sum())
             + float(((G @ G) * self.ZZt).sum())
         )
-        return (
+        value = (
             float((dev * dev).sum())
             - float((W * self.L).sum())
             + float((G * self.K).sum())
             + 0.5 * self.beta * a_sq
             + self.const
         )
-
-    def grad(self, W: np.ndarray) -> np.ndarray:
-        G = W.T @ W
-        XAt = self.XXt @ W - self.XZt @ G
-        ZAt = self.XZt.T @ W - self.ZZt @ G
-        return (
-            4.0 * (W @ (G - self.eye))
+        ZAt = M - self.ZZt @ G
+        grad = (
+            4.0 * (W @ dev)
             - self.L
             + W @ (self.K + self.K.T - self.beta * (ZAt + ZAt.T))
-            + self.beta * XAt
+            + self.beta * (XXW - self.XZt @ G)
         )
+        return value, grad
 
 
 def w_objective(W, X: DataMatrix, Z, Q, Y, hp: Hyperparams) -> float:
     """Dictionary-step objective at an arbitrary (not necessarily
     unit-norm) W; exposed for derivative checks."""
-    return _WSubproblem(X.data, np.asarray(Z, float), Q, Y, hp).value(np.asarray(W, float))
+    return _WSubproblem(X.data, np.asarray(Z, float), Q, Y, hp).evaluate(np.asarray(W, float))[0]
 
 
 def w_gradient(W, X: DataMatrix, Z, Q, Y, hp: Hyperparams) -> np.ndarray:
     """Euclidean gradient of w_objective with respect to W."""
-    return _WSubproblem(X.data, np.asarray(Z, float), Q, Y, hp).grad(np.asarray(W, float))
+    return _WSubproblem(X.data, np.asarray(Z, float), Q, Y, hp).evaluate(np.asarray(W, float))[1]
 
 
 def _project_tangent(W: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -310,9 +307,9 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
     """
     P = _WSubproblem(X.data, state.Z.data, state.Q, state.Y, hp)
     W = state.W.data
-    f = P.value(W)
+    f, g = P.evaluate(W)
     hist = [f]
-    pg = _project_tangent(W, P.grad(W))
+    pg = _project_tangent(W, g)
     pg_sq = float((pg * pg).sum())
     tau = 1.0 / (1.0 + math.sqrt(pg_sq))
     for it in range(hp.w_iters):
@@ -324,7 +321,7 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
         for _ in range(20):
             W_new = _retract(W, pg, t)
             if W_new is not None:
-                f_new = P.value(W_new)
+                f_new, g_new = P.evaluate(W_new)
                 if f_new <= ref - 1e-4 * t * pg_sq:
                     accepted = True
                     break
@@ -337,7 +334,7 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
             )
             break
         s = W_new - W
-        pg_new = _project_tangent(W_new, P.grad(W_new))
+        pg_new = _project_tangent(W_new, g_new)
         y = pg_new - pg
         sy = float((s * y).sum())
         if sy != 0.0 and math.isfinite(sy):

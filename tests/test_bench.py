@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import re
 import time
 
 import numpy as np
@@ -343,7 +344,9 @@ def test_cli_bad_config_file_exits_one_without_report(tmp_path, capsys, bad):
     code = run_cli(["synth-bench", "--config", str(cfg_path), "--out", str(out / "r")])
     assert code == 1
     assert list(out.iterdir()) == []
-    assert bad.split(":")[0].strip('"') in capsys.readouterr().err
+    err = capsys.readouterr().err
+    field = bad.split(":")[0].strip('"')
+    assert re.match(rf"error: {field}[= ]", err), err
 
 
 def test_cli_sweep_fractional_n_exits_one_without_report(tmp_path):
@@ -392,6 +395,18 @@ def test_cli_train_encode_coherence_round_trip(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "mutual coherence" in out
+
+
+def test_cli_train_negative_seed_exits_one_naming_the_field(tmp_path, capsys):
+    data_path = str(tmp_path / "X.dltx")
+    core.save_data_matrix(core.DataMatrix(np.random.default_rng(7).standard_normal((6, 20))),
+                          data_path)
+    dict_path = tmp_path / "W.dltf"
+    code = run_cli(["train", "--data", data_path, "--m", "8", "--k", "2",
+                    "--seed", "-1", "--out", str(dict_path)])
+    assert code == 1
+    assert not dict_path.exists()
+    assert capsys.readouterr().err.startswith("error: seed=-1 ")
 
 
 def test_cli_train_without_weight_flags_uses_hyperparams_defaults(tmp_path):

@@ -46,12 +46,12 @@ def test_non_integral_k_is_rejected(call):
 def test_package_surface():
     for name in dltf.__all__:
         assert hasattr(dltf, name), name
-    # Runtime invariants must hold under `python -O`, which strips asserts.
-    asserts = [f"{path.name}:{node.lineno}"
-               for path in sorted(SRC.glob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(node, ast.Assert)]
-    assert not asserts, asserts
+
+
+def _trees():
+    """{file name: parsed module} for every module of the package."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
 
 
 def _imported_names(tree):
@@ -80,9 +80,45 @@ def _read_names(tree):
 
 def test_no_unused_imports():
     unused = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in _trees().items():
         read = _read_names(tree)
-        unused += [f"{path.name}:{line}: {name}"
-                   for name, line in _imported_names(tree).items() if name not in read]
+        unused += [f"{name}:{line}: {bound}"
+                   for bound, line in _imported_names(tree).items() if bound not in read]
     assert not unused, unused
+
+
+def test_no_assert_statements():
+    # runtime invariants must hold under `python -O`, which strips asserts
+    asserts = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+               for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not asserts, asserts
+
+
+def _private_definitions(tree):
+    """{name: line} for each _-prefixed module-level name and method
+    (dunders aside) that a module defines."""
+    private = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            private.update((item.name, item.lineno) for item in node.body
+                           if isinstance(item, ast.FunctionDef))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            private[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            private.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return {name: line for name, line in private.items()
+            if name.startswith("_") and not name.endswith("__")}
+
+
+def test_private_names_are_read():
+    # a private helper no module reads is code no caller needs
+    trees = _trees()
+    read = set()
+    for tree in trees.values():
+        read |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [f"{name}:{line}: {private}" for name, tree in trees.items()
+              for private, line in _private_definitions(tree).items() if private not in read]
+    assert not unread, unread

@@ -285,22 +285,20 @@ def _reference_update_z(state, X, hp, trace):
     c = 0.5 * hp.theta * float((X.data * X.data).sum()) + 0.5 * hp.beta * float((D * D).sum())
     eta = 0.99 / np.linalg.eigvalsh(H)[-1]
 
-    def value(Z, HZ):
-        return float((Z * (0.5 * HZ + b)).sum()) + c
+    def evaluate(Z):
+        g = H @ Z + b
+        return g, 0.5 * (float(np.vdot(Z, g)) + float(np.vdot(Z, b))) + c
 
     Z = state.Z.data
-    HZ = H @ Z
-    f_prev = value(Z, HZ)
+    g, f_prev = evaluate(Z)
     Z_thr = encoder.max_k_columns(WtX, hp.k)
-    HZ_thr = H @ Z_thr
-    f_thr = value(Z_thr, HZ_thr)
+    g_thr, f_thr = evaluate(Z_thr)
     if f_thr < f_prev:
-        Z, HZ, f_prev = Z_thr, HZ_thr, f_thr
+        Z, g, f_prev = Z_thr, g_thr, f_thr
     trace.append(f_prev)
     for _ in range(hp.iht_iters):
-        Z_new = encoder.max_k_columns(Z - eta * (HZ + b), hp.k)
-        HZ = H @ Z_new
-        f = value(Z_new, HZ)
+        Z_new = encoder.max_k_columns(Z - eta * g, hp.k)
+        g, f = evaluate(Z_new)
         trace.append(f)
         Z = Z_new
         if abs(f_prev - f) <= hp.iht_tol * max(1.0, abs(f_prev)):
@@ -490,6 +488,56 @@ def test_w_objective_is_the_lagrangian_w_part():
             expected = trainer.lagrangian_value(state, X, hp)
             worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
     assert worst <= 1e-10
+
+
+def _reference_w_value(P, W):
+    """Reference: the dictionary-step value computed apart from the gradient."""
+    G = W.T @ W
+    dev = G - P.eye
+    M = P.XZt.T @ W
+    a_sq = (
+        float((W * (P.XXt @ W)).sum())
+        - 2.0 * float((G * M.T).sum())
+        + float(((G @ G) * P.ZZt).sum())
+    )
+    return (
+        float((dev * dev).sum())
+        - float((W * P.L).sum())
+        + float((G * P.K).sum())
+        + 0.5 * P.beta * a_sq
+        + P.const
+    )
+
+
+def _reference_w_grad(P, W):
+    """Reference: the dictionary-step gradient computed apart from the value."""
+    G = W.T @ W
+    XAt = P.XXt @ W - P.XZt @ G
+    ZAt = P.XZt.T @ W - P.ZZt @ G
+    return (
+        4.0 * (W @ (G - P.eye))
+        - P.L
+        + W @ (P.K + P.K.T - P.beta * (ZAt + ZAt.T))
+        + P.beta * XAt
+    )
+
+
+def test_w_evaluate_matches_separate_value_and_gradient_bit_for_bit():
+    # value and gradient share G, X X^T W and Z X^T W in one call; each
+    # must still come out exactly as its own expression computes it
+    rng = np.random.default_rng(41)
+    for beta, theta, lam in ((1.7, 0.4, 0.3), (0.3, 2.5, 0.05), (4.0, 0.0, 1.0),
+                             (0.6, 0.05, 0.0)):
+        for _ in range(5):
+            n, m, N, k = 6, 9, 14, 3
+            hp = trainer.Hyperparams(m=m, k=k, lam=lam, theta=theta, beta=beta)
+            state = _random_state(rng, n, m, N, k)
+            X = _data(rng, n, N)
+            args = (X, state.Z.data, state.Q, state.Y, hp)
+            W = state.W.data + 0.05 * rng.standard_normal((n, m))
+            P = trainer._WSubproblem(X.data, state.Z.data, state.Q, state.Y, hp)
+            assert trainer.w_objective(W, *args).hex() == _reference_w_value(P, W).hex()
+            assert trainer.w_gradient(W, *args).tobytes() == _reference_w_grad(P, W).tobytes()
 
 
 def test_update_w_descends_and_stays_unit_norm():
