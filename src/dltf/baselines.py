@@ -161,8 +161,7 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
     """
     n = X.data.shape[0]
     k = check_k(k, m)
-    if check_int(iters, "iters") < 1:
-        raise ValueError(f"iters={iters} must be at least 1")
+    check_int(iters, "iters", least=1)
     W = core.random_dictionary(n, m, seed).data.copy()
 
     for _ in range(iters):

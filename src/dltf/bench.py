@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
 import traceback
 from dataclasses import asdict, dataclass, replace
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__, baselines, core, encoder, guarantees, trainer
 from .core import DataMatrix, Dictionary, SparseCodeBatch
-from .errors import check_int, check_k
+from .errors import check_int, check_k, check_real
 
 # RNG stream ids under one (seed, k) cell
 _STREAM_TRAIN = 1
@@ -58,22 +57,19 @@ class BenchConfig:
 
     def __post_init__(self) -> None:
         for name in ("n", "m", "N_train", "N_test", "dltf_outer_iters", "ksvd_iters"):
-            if check_int(getattr(self, name), name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            check_int(getattr(self, name), name, least=1)
         for name in ("k_list", "seeds", "methods"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
         for seed in self.seeds:
-            if check_int(seed, "seeds") < 0:
-                raise ValueError(f"seeds entry {seed} must be nonnegative")
+            check_int(seed, "seeds", least=0)
         for k in self.k_list:  # the trainer's own rule for each cell
             trainer.Hyperparams(self.m, k, self.lam, self.theta, self.beta,
                                 outer_iters=self.dltf_outer_iters)
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}")
-        if not 0.0 <= self.noise_std < math.inf:
-            raise ValueError(f"noise_std={self.noise_std} must be finite and nonnegative")
+        check_real(self.noise_std, "noise_std")
         if self.out == "":
             raise ValueError("out must be a non-empty path prefix")
 

@@ -21,6 +21,7 @@ from .errors import (
     DltfError,
     MonotonicityViolated,
     SingularSubproblem,
+    check_int,
 )
 
 VALIDATION_ERRORS = (DltfError, ValueError, OSError, KeyError, TypeError)
@@ -103,8 +104,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"seed={args.seed} must be nonnegative")
+    check_int(args.seed, "seed", least=0)
     X = core.load_data_matrix(args.data)
     hp = trainer.Hyperparams(**_given(args, trainer.Hyperparams))
     W, state = trainer.train(X, hp, seed=args.seed)

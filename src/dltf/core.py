@@ -197,12 +197,9 @@ def dictionary_from_json(obj: dict) -> Dictionary:
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"JSON dictionary missing field: {exc}") from exc
     try:
-        n, m = check_int(n, "n"), check_int(m, "m")
-    except TypeError as exc:
+        n, m = check_int(n, "n", least=1), check_int(m, "m", least=1)
+    except (TypeError, ValueError) as exc:
         raise FileFormatError(f"JSON dictionary field {exc}") from None
-    for name, value in (("n", n), ("m", m)):
-        if value < 1:
-            raise FileFormatError(f"JSON dictionary field {name}={value} must be at least 1")
     flat = np.asarray(flat, dtype=np.float64)
     if flat.size != n * m:
         raise DimensionMismatch(f"JSON dictionary promises {n}x{m}, data has {flat.size} entries")

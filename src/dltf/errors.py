@@ -1,10 +1,13 @@
-"""Exception types shared across the library, its one integer check and
-its one k-range check.
+"""Exception types shared across the library, and its range rules:
+check_int for counts, sizes and seeds, check_real for weights and
+tolerances, and check_k for the sparsity k.
 
 Everything raised on purpose derives from DltfError so callers can catch
 library failures without also swallowing programming errors.
 """
 
+import math
+import numbers
 import operator
 
 
@@ -24,16 +27,31 @@ class InvalidK(DltfError):
     """Sparsity level outside the valid range for the operand."""
 
 
-def check_int(value, name: str) -> int:
-    """value as an int. A value that is not an integer (2.5, or even 4.0)
-    or is a bool (an int subclass, so True would pass as 1) raises
-    TypeError naming the field rather than truncating."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name}={value!r} must be an integer")
+def check_int(value, name: str, least: int | None = None) -> int:
+    """value as an int. TypeError naming the field for a non-integer (2.5,
+    or even 4.0) or a bool (True would pass as 1); ValueError below least."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or isinstance(value, bool):
+        raise TypeError(f"{name}={value!r} must be an integer")
+    if least is not None and index < least:
+        raise ValueError(f"{name}={index} must be at least {least}")
+    return index
+
+
+def check_real(value, name: str, positive: bool = False) -> float:
+    """value as a float. TypeError naming the field for a bool (True would
+    pass as 1.0) or a non-real such as a string or None; ValueError for NaN,
+    an infinity, a negative or, if positive is set, zero."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name}={value!r} must be a real number")
+    real = float(value)
+    if not 0.0 <= real < math.inf or positive and real == 0.0:
+        rule = "positive" if positive else "finite and nonnegative"
+        raise ValueError(f"{name}={value} must be {rule}")
+    return real
 
 
 def check_k(k, m: int) -> int:

@@ -33,14 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import as_finite_array
-from .errors import DimensionMismatch, check_k
-
-
-def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma < 0.0:
-        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
-    return gamma
+from .errors import DimensionMismatch, check_k, check_real
 
 
 def k2_norm_sq(v, k: int) -> float:
@@ -119,7 +112,7 @@ def prox_k2(c, kprime: int, gamma: float, return_merges: bool = False):
     """
     c = as_finite_array(c, "c", (1, 2))
     kprime = check_k(kprime, c.shape[0])
-    gamma = _check_gamma(gamma)
+    gamma = check_real(gamma, "gamma")
     # the columns of c (or the vector c) as the rows of A
     A = np.abs(c[None, :] if c.ndim == 1 else c.T, order="C")
     rows = np.arange(A.shape[0])[:, None]
@@ -140,6 +133,6 @@ def prox_objective(q, c, kprime: int, gamma: float) -> float:
     c = as_finite_array(c, "c", (1,))
     if q.shape != c.shape:
         raise DimensionMismatch(f"q and c differ in shape: {q.shape} vs {c.shape}")
-    gamma = _check_gamma(gamma)
+    gamma = check_real(gamma, "gamma")
     d = q - c
     return gamma * k2_norm_sq(q, kprime) + float(d @ d)

@@ -141,8 +141,7 @@ def oracle_equivalence_suite(count: int = 1000, seed: int = 12345,
     and ndirs are all at least 1.
     """
     for name, value in (("count", count), ("total_iters", total_iters), ("ndirs", ndirs)):
-        if check_int(value, name) < 1:
-            raise ValueError(f"{name}={value} must be at least 1")
+        check_int(value, name, least=1)
     instances = random_instances(count, seed)
     oracle = subgradient_best(instances, total_iters=total_iters, seed=seed + 1)
     max_gap = -np.inf

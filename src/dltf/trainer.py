@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import DataMatrix, Dictionary, SparseCodeBatch, normalize_columns, random_dictionary
 from .encoder import max_k_columns
-from .errors import LineSearchFailed, MonotonicityViolated, check_int, check_k
+from .errors import LineSearchFailed, MonotonicityViolated, check_int, check_k, check_real
 from .prox import k2_norm_sq, prox_k2
 
 
@@ -53,17 +53,13 @@ class Hyperparams:
     primal_tol: float = 1e-5
 
     def __post_init__(self):
-        if check_int(self.m, "m") < 1:
-            raise ValueError(f"m={self.m} must be positive")
+        check_int(self.m, "m", least=1)
         check_k(self.k, self.m)
-        if not (self.beta > 0.0) or not math.isfinite(self.beta):
-            raise ValueError(f"beta={self.beta} must be positive")
+        check_real(self.beta, "beta", positive=True)
         for name in ("lam", "theta", "iht_tol", "w_grad_tol", "primal_tol"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name}={getattr(self, name)} must be finite and nonnegative")
+            check_real(getattr(self, name), name)
         for name in ("outer_iters", "iht_iters", "w_iters"):
-            if check_int(getattr(self, name), name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            check_int(getattr(self, name), name, least=1)
 
     @property
     def kprime(self) -> int:
@@ -317,16 +313,14 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
             break
         ref = max(hist[-5:])
         t = tau
-        accepted = False
         for _ in range(20):
             W_new = _retract(W, pg, t)
             if W_new is not None:
                 f_new, g_new = P.evaluate(W_new)
                 if f_new <= ref - 1e-4 * t * pg_sq:
-                    accepted = True
                     break
             t *= 0.5
-        if not accepted:
+        else:
             warnings.warn(
                 "dictionary line search exhausted its backtracking budget; "
                 "keeping the current iterate",
@@ -346,12 +340,11 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
         else:
             tau = t
         W = W_new
-        f = f_new
-        hist.append(f)
+        hist.append(f_new)
         pg = pg_new
         pg_sq = float((pg * pg).sum())
-    if f > hist[0] + 1e-10 * max(1.0, abs(hist[0])):
-        raise MonotonicityViolated(f"dictionary step ascended: {hist[0]} -> {f}")
+    if hist[-1] > hist[0] + 1e-10 * max(1.0, abs(hist[0])):
+        raise MonotonicityViolated(f"dictionary step ascended: {hist[0]} -> {hist[-1]}")
     return normalize_columns(W)
 
 

@@ -103,8 +103,15 @@ def test_bench_config_validation():
         field = "k" if name == "k_list" else name
         with pytest.raises(TypeError, match=f"^{field}=.* must be an integer$"):
             tiny_config(**bad)
-    with pytest.raises(ValueError, match="^seeds entry -1 must be nonnegative$"):
+    with pytest.raises(ValueError, match="^seeds=-1 must be at least 0$"):
         tiny_config(seeds=(0, -1))
+    for name in ("n", "m", "N_train", "N_test", "dltf_outer_iters", "ksvd_iters"):
+        with pytest.raises(ValueError, match=f"^{name}=0 must be at least 1$"):
+            tiny_config(**{name: 0})
+    for name in ("lam", "theta", "beta", "noise_std"):
+        for bad in (True, "1", None):
+            with pytest.raises(TypeError, match=f"^{name}=.* must be a real number$"):
+                tiny_config(**{name: bad})
     with pytest.raises(ValueError):
         tiny_config(out="")
 
@@ -333,7 +340,8 @@ def test_cli_empty_methods_or_out_exits_one_without_report(tmp_path, monkeypatch
                                  '"noise_std": NaN', '"noise_std": Infinity',
                                  '"seeds": [true]', '"n": true', '"seeds": [-1]',
                                  '"seeds": [0.5]', '"methods": "dltf"',
-                                 '"k_list": 4'])
+                                 '"k_list": 4', '"lam": true', '"noise_std": true',
+                                 '"beta": "1"', '"theta": null'])
 def test_cli_bad_config_file_exits_one_without_report(tmp_path, capsys, bad):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"n": 16, "m": 24, "N_train": 100, "N_test": 100, '

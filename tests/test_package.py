@@ -122,3 +122,31 @@ def test_private_names_are_read():
     unread = [f"{name}:{line}: {private}" for name, tree in trees.items()
               for private, line in _private_definitions(tree).items() if private not in read]
     assert not unread, unread
+
+
+RANGE_RULES = ("check_int", "check_real")
+RANGE_WORDS = ("must be at least", "nonnegative", "must be positive")
+
+
+def _is_range_rule(node):
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (getattr(func, "id", None) in RANGE_RULES
+                                           or getattr(func, "attr", None) in RANGE_RULES)
+
+
+def test_range_rules_live_in_errors():
+    # check_int's floor and check_real are the one place a number's range is
+    # decided: no caller compares their result, and no other module words
+    # its own range message
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                    _is_range_rule(operand) for operand in [node.left, *node.comparators]):
+                found.append(f"{name}:{node.lineno}: comparison on a range rule's result")
+            if isinstance(node, ast.Raise) and name != "errors.py" and any(
+                    isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                    and any(word in sub.value for word in RANGE_WORDS)
+                    for sub in ast.walk(node)):
+                found.append(f"{name}:{node.lineno}: hand-written range check")
+    assert not found, found

@@ -298,6 +298,10 @@ def test_prox_batch_input_errors():
         prox.prox_k2(np.ones((3, 2)), 4, 1.0)
     with pytest.raises(ValueError):
         prox.prox_k2(np.ones((3, 2)), 1, -0.5)
+    with pytest.raises(TypeError, match="^gamma=True must be a real number$"):
+        prox.prox_k2(np.ones((3, 2)), 1, True)
+    with pytest.raises(TypeError, match="^gamma=True must be a real number$"):
+        prox.prox_objective(np.ones(3), np.ones(3), 1, True)
 
 
 def test_k2_norm_sq_sums_over_columns():

@@ -53,6 +53,13 @@ def test_hyperparams_rejects_bad_tolerances_and_counts():
         for bad in (2.5, True):
             with pytest.raises(TypeError, match=f"^{name}={bad} must be an integer$"):
                 trainer.Hyperparams(m=8, k=2, **{name: bad})
+    for name in ("m", "outer_iters", "iht_iters", "w_iters"):
+        with pytest.raises(ValueError, match=f"^{name}=0 must be at least 1$"):
+            trainer.Hyperparams(**{"m": 8, "k": 2, name: 0})
+    for name in ("lam", "theta", "beta", "iht_tol", "w_grad_tol", "primal_tol"):
+        for bad in (True, "1", None):
+            with pytest.raises(TypeError, match=f"^{name}=.* must be a real number$"):
+                trainer.Hyperparams(m=8, k=2, **{name: bad})
     with pytest.raises(TypeError, match="^m=True must be an integer$"):
         trainer.Hyperparams(m=True, k=1)
     with pytest.raises(TypeError, match="^k=True must be an integer$"):
