@@ -95,6 +95,8 @@ def generate_synthetic(n: int, m: int, N: int, k: int, noise_std: float,
     binary codes with exactly k ones per column, additive Gaussian noise.
     """
     k = check_k(k, m)
+    check_real(noise_std, "noise_std")
+    check_int(seed, "seed", least=0)
     w_seq, d_seq = np.random.SeedSequence(seed).spawn(2)
     W0 = core.random_dictionary(n, m, w_seq)
     return _instance_from(W0, N, k, noise_std, np.random.default_rng(d_seq))
@@ -147,6 +149,8 @@ def _build_dictionary(method: str, cfg: BenchConfig, k: int, seed: int,
         extras = {
             "coherence": guarantees.mutual_coherence(W).mu,
             "init_coherence": guarantees.mutual_coherence(W_init).mu,
+            "rounds": len(state.history),
+            "iht_steps": sum(rec["iht_steps"] for rec in state.history),
         }
         return align_atoms(W, train_inst.W0), extras
     raise ValueError(f"unknown method {method!r}")

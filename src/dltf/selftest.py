@@ -138,10 +138,11 @@ def oracle_equivalence_suite(count: int = 1000, seed: int = 12345,
     Returns a dict with max_gap (solver objective minus oracle best,
     positive means the solver did worse), min_sweep_margin, and pass flags
     at the 1e-9 / -1e-10 thresholds. ValueError unless count, total_iters
-    and ndirs are all at least 1.
+    and ndirs are all at least 1 and seed at least 0.
     """
     for name, value in (("count", count), ("total_iters", total_iters), ("ndirs", ndirs)):
         check_int(value, name, least=1)
+    check_int(seed, "seed", least=0)
     instances = random_instances(count, seed)
     oracle = subgradient_best(instances, total_iters=total_iters, seed=seed + 1)
     max_gap = -np.inf

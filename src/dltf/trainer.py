@@ -6,8 +6,9 @@ reconstruction term (theta/2) ||X - WZ||_F^2, subject to k-sparse codes
 and unit-norm atoms. The augmented Lagrangian splits it into four
 updates per round:
 
-    Z: iterative hard thresholding on the smooth part (step 0.99/L, with
-       L the exact largest eigenvalue of its Hessian),
+    Z: hard thresholding pursuit on the smooth part (a gradient step of
+       0.99/L, with L the exact largest eigenvalue of its Hessian, picks
+       each column's top k rows; one stacked solve fits them exactly),
     Q: per-column prox of the squared (2k,2) norm (gamma = lambda/beta),
     W: Riemannian descent on the product of spheres (Barzilai-Borwein
        step, nonmonotone backtracking, renormalization retraction),
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baselines import RIDGE
 from .core import DataMatrix, Dictionary, SparseCodeBatch, normalize_columns, random_dictionary
 from .encoder import max_k_columns
 from .errors import LineSearchFailed, MonotonicityViolated, check_int, check_k, check_real
@@ -36,7 +38,7 @@ from .prox import k2_norm_sq, prox_k2
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Trainer knobs. beta must be positive; lam, theta and the three
+    """Trainer knobs. beta must be positive; lam, theta and the two
     tolerances finite and nonnegative; the iteration counts integers of at
     least 1."""
 
@@ -47,7 +49,6 @@ class Hyperparams:
     beta: float = 1.0
     outer_iters: int = 30
     iht_iters: int = 50
-    iht_tol: float = 1e-8
     w_iters: int = 30
     w_grad_tol: float = 1e-6
     primal_tol: float = 1e-5
@@ -56,7 +57,7 @@ class Hyperparams:
         check_int(self.m, "m", least=1)
         check_k(self.k, self.m)
         check_real(self.beta, "beta", positive=True)
-        for name in ("lam", "theta", "iht_tol", "w_grad_tol", "primal_tol"):
+        for name in ("lam", "theta", "w_grad_tol", "primal_tol"):
             check_real(getattr(self, name), name)
         for name in ("outer_iters", "iht_iters", "w_iters"):
             check_int(getattr(self, name), name, least=1)
@@ -109,53 +110,30 @@ def support_rows(Z: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(Z == 0, axis=0, kind="stable")[:k]
 
 
-def max_k_on_support(M: np.ndarray, rows: np.ndarray, k: int, work: np.ndarray):
-    """max_k_columns(M, k) bit for bit, given k candidate rows per column
-    (a k x N index array such as the previous IHT step's support_rows).
-
-    When every entry off the candidate rows is strictly below the
-    smallest magnitude on them, those rows are the column's top k with
-    no tie at the boundary, so the output is M there and zero elsewhere.
-    Columns that fail the check (a NaN fails it) go through
-    max_k_columns, which is called even when none fail. ``work`` is a
-    scratch array shaped like M, overwritten (allocating it per call took
-    longer than the check itself at 128 x 2000). Returns the output and
-    its support rows.
-    """
-    A = np.abs(M, out=work)
-    t = np.take_along_axis(A, rows, axis=0).min(axis=0)
-    np.put_along_axis(A, rows, -np.inf, axis=0)
-    bad = np.flatnonzero(~(A.max(axis=0) < t))
-    Z = np.zeros_like(M)
-    np.put_along_axis(Z, rows, np.take_along_axis(M, rows, axis=0), axis=0)
-    fallback = max_k_columns(M[:, bad], k)
-    Z[:, bad] = fallback
-    rows = rows.copy()
-    rows[:, bad] = support_rows(fallback, k)
-    return Z, rows
-
-
 def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
              trace: list | None = None) -> SparseCodeBatch:
-    """Code update: hard-thresholded gradient steps on the smooth part of
-    the Lagrangian, the quadratic f(Z) = 1/2 <Z, HZ> + <b, Z> + c with
-    D = Q - W^T X, G = W^T W, H = theta G + beta G^2,
+    """Code update: hard thresholding pursuit (Foucart 2011) on the smooth
+    part of the Lagrangian, the quadratic f(Z) = 1/2 <Z, HZ> + <b, Z> + c
+    with D = Q - W^T X, G = W^T W, H = theta G + beta G^2,
     b = G (Y + beta D) - theta W^T X and c = theta/2 ||X||^2 + beta/2 ||D||^2.
     Each step moves 0.99/L along the gradient g = HZ + b, with L the largest
-    eigenvalue of H, computed exactly (eigvalsh); the value comes from the
-    same g, as f(Z) = 1/2 (<Z, g> + <Z, b>) + c.
+    eigenvalue of H, computed exactly (eigvalsh), takes the top k rows S of
+    every column of the result, and solves each column's quadratic on its
+    rows exactly: (H_SS + RIDGE I) z_S = -b_S, for all columns in one
+    stacked solve. The ridge (baselines.RIDGE) keeps H_SS solvable when two
+    atoms on a support coincide. The value comes from the same g, as
+    f(Z) = 1/2 (<Z, g> + <Z, b>) + c.
 
     The inner loop starts from whichever of the current codes or the
     thresholded feature max_k(W^T X) scores lower; codes must keep
     tracking the dictionary as it moves, and the previous round's codes
-    alone can pin the iteration to a stale support set. The first step
-    selects the top k of every column; later steps check the previous
-    step's support first (max_k_on_support), since supports settle
-    after a few steps. The smooth objective value is non-increasing
-    across inner iterations (a step that ascends raises
-    MonotonicityViolated); iteration stops early once its relative
-    change falls below iht_tol. When trace is a list it receives the
-    objective value per inner step.
+    alone can pin the iteration to a stale support set. The smooth
+    objective value is non-increasing across inner steps, since the solve
+    minimizes f on a support that holds the thresholded step (a step that
+    ascends raises MonotonicityViolated). The loop stops at the first step
+    that does not lower it: a step that keeps every column's support
+    repeats the same solve and so returns the same codes. When trace is a
+    list it receives the objective value per inner step.
     """
     W = state.W.data
     Xd = X.data
@@ -166,8 +144,7 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     b = G @ (state.Y + hp.beta * D) - hp.theta * WtX
     c = 0.5 * hp.theta * float((Xd * Xd).sum()) + 0.5 * hp.beta * float((D * D).sum())
     eta = 0.99 / np.linalg.eigvalsh(H)[-1]
-    buf = np.empty_like(b)
-    work = np.empty_like(b)
+    cols = np.arange(b.shape[1])[:, None]
 
     def evaluate(Z):
         g = H @ Z
@@ -182,23 +159,17 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
         Z, g, f_prev = Z_thr, g_thr, f_thr
     if trace is not None:
         trace.append(f_prev)
-    rows = None
     for _ in range(hp.iht_iters):
-        # buf = Z - eta * g
-        np.multiply(eta, g, out=buf)
-        np.subtract(Z, buf, out=buf)
-        if rows is None:  # first step: no support to check yet
-            Z_new = max_k_columns(buf, hp.k)
-            rows = support_rows(Z_new, hp.k)
-        else:
-            Z_new, rows = max_k_on_support(buf, rows, hp.k, work)
-        g, f = evaluate(Z_new)
+        S = support_rows(max_k_columns(Z - eta * g, hp.k), hp.k).T
+        A = H[S[:, :, None], S[:, None, :]] + RIDGE * np.eye(hp.k)
+        Z = np.zeros_like(b)
+        Z[S, cols] = np.linalg.solve(A, -b[S, cols][..., None])[..., 0]
+        g, f = evaluate(Z)
         if f > f_prev + 1e-12 * max(1.0, abs(f_prev)):
             raise MonotonicityViolated(f"hard-thresholding step ascended: {f_prev} -> {f}")
         if trace is not None:
             trace.append(f)
-        Z = Z_new
-        if abs(f_prev - f) <= hp.iht_tol * max(1.0, abs(f_prev)):
+        if not f < f_prev:
             break
         f_prev = f
     return SparseCodeBatch(Z, hp.k)
@@ -371,8 +342,8 @@ def train(X: DataMatrix, hp: Hyperparams, seed):
     Stops after outer_iters rounds or once the primal residual falls
     below primal_tol * sqrt(m N). Deterministic given (X, hp, seed).
     Each history record carries the Lagrangian value, primal residual,
-    worst column-norm deviation, reconstruction error, the round's IHT
-    step count, and wall time.
+    worst column-norm deviation, reconstruction error, the round's code
+    step count (iht_steps), and wall time.
     """
     state = init_state(X, hp, seed)
     stop = hp.primal_tol * math.sqrt(hp.m * X.N)

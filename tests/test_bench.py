@@ -57,6 +57,15 @@ def test_generate_synthetic_invalid_k():
         bench.generate_synthetic(8, 12, 10, 13, 0.1, seed=0)
 
 
+def test_generate_synthetic_rejects_bad_noise_and_seed():
+    with pytest.raises(TypeError, match="^noise_std=True must be a real number$"):
+        bench.generate_synthetic(6, 8, 5, 2, True, 0)
+    with pytest.raises(ValueError, match="^noise_std=-1.0 must be finite and nonnegative$"):
+        bench.generate_synthetic(6, 8, 5, 2, -1.0, 0)
+    with pytest.raises(ValueError, match="^seed=-1 must be at least 0$"):
+        bench.generate_synthetic(6, 8, 5, 2, 0.1, -1)
+
+
 def test_align_atoms_recovers_permutation():
     for seed in range(5):
         rng = np.random.default_rng(80 + seed)
@@ -130,6 +139,8 @@ def test_bench_report_structure():
     assert by_method["original"]["ave_dif"] <= by_method["random"]["ave_dif"]
     assert "coherence" in by_method["dltf"]
     assert "init_coherence" in by_method["dltf"]
+    assert by_method["dltf"]["rounds"] == cfg.dltf_outer_iters
+    assert by_method["dltf"]["iht_steps"] >= cfg.dltf_outer_iters
 
 
 def test_bench_noiseless_original_k1_recovers_exactly():

@@ -411,3 +411,8 @@ def test_oracle_equivalence_suite_rejects_empty_budgets(bad):
         error, rule = TypeError, "an integer"
     with pytest.raises(error, match=f"^{name}={value} must be {rule}$"):
         selftest.oracle_equivalence_suite(**{**dict(count=2, total_iters=50, ndirs=5), **bad})
+
+
+def test_oracle_equivalence_suite_rejects_negative_seed():
+    with pytest.raises(ValueError, match="^seed=-1 must be at least 0$"):
+        selftest.oracle_equivalence_suite(count=2, seed=-1, total_iters=50, ndirs=5)

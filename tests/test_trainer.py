@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dltf
-from dltf import cli, core, encoder, guarantees, prox, trainer
+from dltf import baselines, cli, core, encoder, guarantees, prox, trainer
 from dltf.core import DataMatrix, Dictionary, SparseCodeBatch
 from dltf.errors import InvalidK, LineSearchFailed, MonotonicityViolated
 
@@ -45,7 +45,7 @@ def test_hyperparams_rejects_non_integral_m():
 
 def test_hyperparams_rejects_bad_tolerances_and_counts():
     nan = float("nan")
-    for name in ("iht_tol", "w_grad_tol", "primal_tol"):
+    for name in ("w_grad_tol", "primal_tol"):
         for bad in (nan, -1e-9, float("inf")):
             with pytest.raises(ValueError):
                 trainer.Hyperparams(m=8, k=2, **{name: bad})
@@ -56,7 +56,7 @@ def test_hyperparams_rejects_bad_tolerances_and_counts():
     for name in ("m", "outer_iters", "iht_iters", "w_iters"):
         with pytest.raises(ValueError, match=f"^{name}=0 must be at least 1$"):
             trainer.Hyperparams(**{"m": 8, "k": 2, name: 0})
-    for name in ("lam", "theta", "beta", "iht_tol", "w_grad_tol", "primal_tol"):
+    for name in ("lam", "theta", "beta", "w_grad_tol", "primal_tol"):
         for bad in (True, "1", None):
             with pytest.raises(TypeError, match=f"^{name}=.* must be a real number$"):
                 trainer.Hyperparams(m=8, k=2, **{name: bad})
@@ -64,7 +64,7 @@ def test_hyperparams_rejects_bad_tolerances_and_counts():
         trainer.Hyperparams(m=True, k=1)
     with pytest.raises(TypeError, match="^k=True must be an integer$"):
         trainer.Hyperparams(m=8, k=True)
-    hp = trainer.Hyperparams(m=8, k=2, iht_tol=0.0, w_grad_tol=0.0, primal_tol=0.0)
+    hp = trainer.Hyperparams(m=8, k=2, w_grad_tol=0.0, primal_tol=0.0)
     assert hp.primal_tol == 0.0
 
 
@@ -124,7 +124,7 @@ def test_update_z_descends_and_keeps_sparsity():
     rng = np.random.default_rng(22)
     n, m, N, k = 10, 16, 40, 3
     hp = trainer.Hyperparams(m=m, k=k, lam=0.2, theta=0.5, beta=0.9,
-                             iht_iters=60, iht_tol=0.0)
+                             iht_iters=60)
     state = _random_state(rng, n, m, N, k)
     X = _data(rng, n, N)
 
@@ -149,7 +149,7 @@ def test_update_z_repeat_never_ascends():
     rng = np.random.default_rng(23)
     n, m, N, k = 8, 12, 25, 2
     hp = trainer.Hyperparams(m=m, k=k, lam=0.1, theta=0.4, beta=1.1,
-                             iht_iters=400, iht_tol=0.0)
+                             iht_iters=400)
     state = _random_state(rng, n, m, N, k)
     X = _data(rng, n, N)
 
@@ -188,8 +188,8 @@ def test_update_z_trace_ends_at_smooth_part_of_lagrangian():
         assert abs(trace[-1] - expected) <= 1e-12 * abs(expected)
 
 
-def _ascending_top_k(M, k):
-    return 100.0 * np.ones_like(M)
+def _ascending_solve(A, B):
+    return np.full_like(B, 100.0)
 
 
 def test_update_z_ascent_raises_and_exits_two(monkeypatch, tmp_path):
@@ -199,7 +199,7 @@ def test_update_z_ascent_raises_and_exits_two(monkeypatch, tmp_path):
     X = _data(rng, 8, 25)
     data_path = str(tmp_path / "X.dltx")
     core.save_data_matrix(X, data_path)
-    monkeypatch.setattr(trainer, "max_k_columns", _ascending_top_k)
+    monkeypatch.setattr(np.linalg, "solve", _ascending_solve)
     with pytest.raises(MonotonicityViolated):
         trainer.update_Z(state, X, hp)
     code = cli.main(["train", "--data", data_path, "--m", "12", "--k", "2",
@@ -212,7 +212,7 @@ def test_update_z_ascent_raises_under_optimize():
         "import numpy as np\n"
         "from dltf import core, trainer\n"
         "from dltf.errors import MonotonicityViolated\n"
-        "trainer.max_k_columns = lambda M, k: 100.0 * np.ones_like(M)\n"
+        "np.linalg.solve = lambda A, B: np.full_like(B, 100.0)\n"
         "rng = np.random.default_rng(37)\n"
         "X = core.DataMatrix(rng.standard_normal((8, 25)))\n"
         "hp = trainer.Hyperparams(m=12, k=2)\n"
@@ -229,60 +229,10 @@ def test_update_z_ascent_raises_under_optimize():
     assert proc.returncode == 3, proc.stderr
 
 
-def _columns(*cols):
-    return np.array(cols, dtype=float).T
-
-
-# (M, candidate rows per column, k). The cases mix columns whose
-# candidates pass the check with columns that must fall back to a full
-# selection; comparing bytes also catches a -0.0 kept in place of a 0.0.
-inf, nan = np.inf, np.nan
-SUPPORT_CASES = {
-    "right-stale-partly-wrong": (
-        _columns([5, -4, 1, 0.5, -0.2, 3],
-                 [0.1, 0.2, 6, -7, 0.3, 0.4],
-                 [5, 3, 0, 0.1, -3, 1],
-                 [9, 1, 2, 8, 0.5, 0.25]),
-        [(1, 0), (0, 1), (0, 4), (0, 2)], 2),
-    "ties-at-the-boundary": (
-        _columns([2, -2, 5, 1, 0, 0.5],
-                 [2, -2, 5, 1, 0, 0.5],
-                 [3, 0.5, -3, 1, 0.2, 0.1],
-                 [1, 1, -1, 1, 0, 0]),
-        [(2, 1), (0, 2), (0, 2), (3, 2)], 2),
-    "zeros-on-candidates": (
-        _columns([0, 0, 4, 0, 0, 0],
-                 [7, 0.0, 0, -0.0, 0, 0],
-                 [0, 0, 0, 0, 0, 0],
-                 [0, 3, 0, 0, 0, 0]),
-        [(0, 1), (0, 3), (4, 5), (1, 2)], 2),
-    "nan-and-inf": (
-        _columns([5, 4, nan, 1, 0, 0],
-                 [nan, 5, 1, 0.5, 0, 0],
-                 [inf, 3, -inf, inf, 0, 0],
-                 [1, -inf, 2, 0.5, 0, 3],
-                 [1, 2, 3, inf, 0, 0]),
-        [(0, 1), (0, 1), (2, 3), (1, 5), (1, 2)], 2),
-    "k-equals-m": (
-        _columns([nan, 1, -0.0, inf, 2],
-                 [1, 1, -1, 0, 0],
-                 [3, -2, 5, 0.5, -inf]),
-        [(4, 3, 2, 1, 0), (0, 1, 2, 3, 4), (2, 0, 4, 1, 3)], 5),
-}
-
-
-@pytest.mark.parametrize("M, rows, k", SUPPORT_CASES.values(), ids=SUPPORT_CASES.keys())
-def test_max_k_on_support_matches_max_k_columns(M, rows, k):
-    out, out_rows = trainer.max_k_on_support(M, np.array(rows).T, k, np.empty_like(M))
-    assert out.tobytes() == encoder.max_k_columns(M, k).tobytes()
-    on_rows = np.zeros(M.shape, dtype=bool)
-    np.put_along_axis(on_rows, out_rows, True, axis=0)
-    assert np.all(on_rows.sum(axis=0) == k)
-    assert not np.any((out != 0) & ~on_rows)
-
-
 def _reference_update_z(state, X, hp, trace):
-    """The IHT code step with a full top-k selection at every step."""
+    """The hard-thresholding-pursuit code step, one column at a time: the
+    column's k largest magnitudes after the gradient step (lower index
+    first on ties), then one solve of its quadratic on those rows."""
     W = state.W.data
     G = W.T @ W
     WtX = W.T @ X.data
@@ -304,80 +254,127 @@ def _reference_update_z(state, X, hp, trace):
         Z, g, f_prev = Z_thr, g_thr, f_thr
     trace.append(f_prev)
     for _ in range(hp.iht_iters):
-        Z_new = encoder.max_k_columns(Z - eta * g, hp.k)
-        g, f = evaluate(Z_new)
+        U = Z - eta * g
+        Z = np.zeros_like(U)
+        for i in range(U.shape[1]):
+            S = np.argsort(-np.abs(U[:, i]), kind="stable")[:hp.k]
+            A = H[np.ix_(S, S)] + baselines.RIDGE * np.eye(hp.k)
+            Z[S, i] = np.linalg.solve(A, -b[S, i])
+        g, f = evaluate(Z)
         trace.append(f)
-        Z = Z_new
-        if abs(f_prev - f) <= hp.iht_tol * max(1.0, abs(f_prev)):
+        if not f < f_prev:
             break
         f_prev = f
     return Z
 
 
-def test_iht_step_is_at_most_099_over_largest_hessian_eigenvalue():
-    # k = m thresholds nothing, and Z0 = W^T X is also the thresholded
-    # start, so one step is exactly Z1 = Z0 - eta (H Z0 + b).
-    hp = trainer.Hyperparams(m=32, k=32, iht_iters=1)
-    X = _data(np.random.default_rng(4), 16, 60)
-    state = trainer.init_state(X, hp, seed=9)
-    W = state.W.data  # random_dictionary(16, 32, 9)
-    state.Z = SparseCodeBatch(W.T @ X.data, hp.k)
-    G = W.T @ W
-    H = hp.theta * G + hp.beta * (G @ G)
-    b = G @ (state.Y + hp.beta * (state.Q - W.T @ X.data)) - hp.theta * W.T @ X.data
-    g = H @ state.Z.data + b
-    Z1 = trainer.update_Z(state, X, hp).data
-    eta = float(((state.Z.data - Z1) * g).sum()) / float((g * g).sum())
-    # H's eigenvalues are theta s + beta s^2 over the eigenvalues s of G,
-    # the largest at the squared spectral norm of W
-    s = np.linalg.norm(W, 2) ** 2
-    assert eta * (hp.theta * s + hp.beta * s * s) <= 0.99 * (1 + 1e-12)
-
-
-def _fallback_widths(monkeypatch, state, X, hp):
-    """Run update_Z against the reference loop, bit for bit, and return
-    the column counts of its top-k calls after the first step's."""
-    widths = []
-
-    def recording_top_k(M, k):
-        widths.append(M.shape[1])
-        return encoder.max_k_columns(M, k)
-
+def _check_against_reference(state, X, hp):
+    """Run update_Z and the per-column reference from the same state;
+    supports must agree exactly, codes and trace to 1e-12 relative.
+    Returns the trace."""
     ref_trace, trace = [], []
     ref = _reference_update_z(state, X, hp, ref_trace)
-    with monkeypatch.context() as patch:
-        patch.setattr(trainer, "max_k_columns", recording_top_k)
-        Z = trainer.update_Z(state, X, hp, trace=trace)
-    assert Z.data.tobytes() == ref.tobytes()
-    assert trace == ref_trace
-    # the start's thresholded feature and the first step select in full
-    assert widths[:2] == [X.N, X.N] and len(widths) == len(trace)
-    return widths[2:]
+    Z = trainer.update_Z(state, X, hp, trace=trace).data
+    assert np.array_equal(Z != 0, ref != 0)
+    assert np.linalg.norm(Z - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert len(trace) == len(ref_trace)
+    assert np.allclose(trace, ref_trace, rtol=1e-12, atol=0)
+    return trace
 
 
-def test_update_z_matches_full_selection_as_supports_change(monkeypatch):
+def test_update_z_matches_full_selection_as_supports_change():
+    # random dictionaries: some column's support moves after the first
+    # step, so the loop runs past the step that repeats its solve
     rng = np.random.default_rng(38)
     for n, m, N, k, lam, theta, beta in [(8, 12, 40, 2, 0.1, 0.4, 1.1),
                                          (10, 16, 60, 3, 0.05, 0.01, 1.0),
                                          (12, 20, 50, 4, 0.3, 0.7, 0.5)]:
-        hp = trainer.Hyperparams(m=m, k=k, lam=lam, theta=theta, beta=beta,
-                                 iht_iters=40, iht_tol=0.0)
+        hp = trainer.Hyperparams(m=m, k=k, lam=lam, theta=theta, beta=beta, iht_iters=40)
         state = _random_state(rng, n, m, N, k)
-        assert sum(_fallback_widths(monkeypatch, state, _data(rng, n, N), hp)) > 0
+        trace = _check_against_reference(state, _data(rng, n, N), hp)
+        assert len(trace) > 3
 
 
-def test_update_z_matches_full_selection_on_settled_supports(monkeypatch):
-    # an orthonormal dictionary makes the step a contraction towards a
-    # fixed point of -b, whose top k holds after the first step
+def test_update_z_matches_full_selection_on_settled_supports():
+    # an orthonormal dictionary makes H a multiple of the identity, so the
+    # first step selects each column's top k of |b| and the second keeps it
     rng = np.random.default_rng(39)
     for m, N, k in [(12, 30, 3), (8, 20, 8)]:
         Wq, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        hp = trainer.Hyperparams(m=m, k=k, iht_iters=20, iht_tol=0.0)
+        hp = trainer.Hyperparams(m=m, k=k, iht_iters=20)
         state = trainer.TrainerState(W=Dictionary(Wq), Z=SparseCodeBatch(np.zeros((m, N)), k),
                                      Q=rng.standard_normal((m, N)),
                                      Y=rng.standard_normal((m, N)))
-        widths = _fallback_widths(monkeypatch, state, _data(rng, m, N), hp)
-        assert len(widths) >= 2 and not any(widths)
+        trace = _check_against_reference(state, _data(rng, m, N), hp)
+        assert len(trace) == 3 and trace[2] == trace[1]
+
+
+def test_iht_step_is_at_most_099_over_largest_hessian_eigenvalue(monkeypatch):
+    # k = m thresholds nothing, and Z0 = W^T X is also the thresholded
+    # start, so the first step's selection sees Z0 - eta (H Z0 + b).
+    hp = trainer.Hyperparams(m=32, k=32, iht_iters=1)
+    X = _data(np.random.default_rng(4), 16, 60)
+    state = trainer.init_state(X, hp, seed=9)
+    W = state.W.data  # random_dictionary(16, 32, 9)
+    Z0 = W.T @ X.data
+    state.Z = SparseCodeBatch(Z0, hp.k)
+    G = W.T @ W
+    H = hp.theta * G + hp.beta * (G @ G)
+    b = G @ (state.Y + hp.beta * (state.Q - W.T @ X.data)) - hp.theta * W.T @ X.data
+    g = H @ Z0 + b
+    selected = []
+
+    def recording_top_k(M, k):
+        selected.append(M.copy())
+        return encoder.max_k_columns(M, k)
+
+    monkeypatch.setattr(trainer, "max_k_columns", recording_top_k)
+    trainer.update_Z(state, X, hp)
+    assert len(selected) == 2  # the thresholded start, then the step
+    step = Z0 - selected[1]
+    eta = float((step * g).sum()) / float((g * g).sum())
+    assert np.linalg.norm(step - eta * g) <= 1e-12 * np.linalg.norm(step)
+    # H's eigenvalues are theta s + beta s^2 over the eigenvalues s of G,
+    # the largest at the squared spectral norm of W
+    s = np.linalg.norm(W, 2) ** 2
+    assert 0 < eta * (hp.theta * s + hp.beta * s * s) <= 0.99 * (1 + 1e-12)
+
+
+def test_update_z_duplicate_atoms_on_one_support_stay_finite():
+    # two identical atoms carry most of every sample, so both sit on each
+    # column's support and H restricted to it is singular
+    rng = np.random.default_rng(42)
+    n, m, N, k = 6, 8, 20, 3
+    W = core.normalize_columns(rng.standard_normal((n, m))).data.copy()
+    W[:, 5] = W[:, 2]
+    X = DataMatrix(3.0 * W[:, [2]] + 0.1 * rng.standard_normal((n, N)))
+    hp = trainer.Hyperparams(m=m, k=k)
+    state = trainer.TrainerState(W=Dictionary(W), Z=SparseCodeBatch(np.zeros((m, N)), k),
+                                 Q=np.zeros((m, N)), Y=np.zeros((m, N)))
+    trace = []
+    Z = trainer.update_Z(state, X, hp, trace=trace).data
+    assert np.all(np.isfinite(Z))
+    assert np.all((Z != 0).sum(axis=0) <= k)
+    assert np.all((Z[2] != 0) & (Z[5] != 0))
+    diffs = np.diff(trace)
+    assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+def test_update_z_on_its_own_output_stops_after_one_step():
+    # the step from a settled support repeats its solve bit for bit, so
+    # it does not lower the objective and the loop stops there
+    rng = np.random.default_rng(43)
+    for n, m, N, k in [(8, 12, 40, 2), (10, 16, 60, 3), (12, 20, 50, 4)]:
+        hp = trainer.Hyperparams(m=m, k=k, lam=0.1, theta=0.4, beta=1.1)
+        state = _random_state(rng, n, m, N, k)
+        X = _data(rng, n, N)
+        first = []
+        state.Z = trainer.update_Z(state, X, hp, trace=first)
+        assert len(first) - 1 < hp.iht_iters
+        again = []
+        Z = trainer.update_Z(state, X, hp, trace=again)
+        assert again == [first[-1], first[-1]]
+        assert Z.data.tobytes() == state.Z.data.tobytes()
 
 
 def test_update_q_lambda_zero_is_identity_target():
