@@ -76,6 +76,19 @@ def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
     return Z
 
 
+def solve_on_supports(M: np.ndarray, S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (M_SS + RIDGE I) x = r for all N columns in one stacked solve,
+    with column i's support S and right-hand side r in row i of S and rhs
+    (both N x s). The ridge keeps the solve defined when two atoms on a
+    support coincide; a singular system raises SingularSubproblem."""
+    A = M[S[:, :, None], S[:, None, :]] + RIDGE * np.eye(S.shape[1])
+    try:
+        return np.linalg.solve(A, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSubproblem(
+            f"normal equations singular on a support of size {S.shape[1]}") from exc
+
+
 def omp_gram(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
     """Code every column of X as omp_batch does, with all samples in
     lockstep (Batch OMP, Rubinstein, Zibulevsky & Elad 2008).
@@ -116,13 +129,7 @@ def omp_gram(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
         corr[picked[:, :j].T, cols] = -1.0
         picked[:, j] = np.argmax(corr, axis=0)
         S = picked[:, :j + 1]
-        A = G[S[:, :, None], S[:, None, :]] + RIDGE * np.eye(j + 1)
-        try:
-            coef = np.linalg.solve(A, Cl[S, cols[:, None]][..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularSubproblem(
-                f"normal equations singular at step {j + 1}") from exc
-        Zl[S, cols[:, None]] = coef
+        Zl[S, cols[:, None]] = solve_on_supports(G, S, Cl[S, cols[:, None]])
     Z[:, live] = Zl
     return Z
 

@@ -16,8 +16,9 @@ updates per round:
 
 The two inner loops evaluate once per point: the code step reads its
 value from its gradient, and the dictionary step gets value and gradient
-from one call. All updates are deterministic given their inputs; train()
-is deterministic given (X, hyperparams, seed).
+from one call. Training starts from a seeded Gaussian dictionary W and its
+thresholded feature max_k(W^T X) as the codes. All updates are deterministic
+given their inputs; train() is deterministic given (X, hyperparams, seed).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import RIDGE
+from .baselines import solve_on_supports
 from .core import DataMatrix, Dictionary, SparseCodeBatch, normalize_columns, random_dictionary
 from .encoder import max_k_columns
 from .errors import LineSearchFailed, MonotonicityViolated, check_int, check_k, check_real
@@ -119,21 +120,17 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     Each step moves 0.99/L along the gradient g = HZ + b, with L the largest
     eigenvalue of H, computed exactly (eigvalsh), takes the top k rows S of
     every column of the result, and solves each column's quadratic on its
-    rows exactly: (H_SS + RIDGE I) z_S = -b_S, for all columns in one
-    stacked solve. The ridge (baselines.RIDGE) keeps H_SS solvable when two
-    atoms on a support coincide. The value comes from the same g, as
-    f(Z) = 1/2 (<Z, g> + <Z, b>) + c.
+    rows exactly, H_SS z_S = -b_S, for all columns in one stacked solve
+    (baselines.solve_on_supports, as Batch OMP does). The value comes from
+    the same g, as f(Z) = 1/2 (<Z, g> + <Z, b>) + c.
 
-    The inner loop starts from whichever of the current codes or the
-    thresholded feature max_k(W^T X) scores lower; codes must keep
-    tracking the dictionary as it moves, and the previous round's codes
-    alone can pin the iteration to a stale support set. The smooth
-    objective value is non-increasing across inner steps, since the solve
-    minimizes f on a support that holds the thresholded step (a step that
-    ascends raises MonotonicityViolated). The loop stops at the first step
-    that does not lower it: a step that keeps every column's support
-    repeats the same solve and so returns the same codes. When trace is a
-    list it receives the objective value per inner step.
+    The inner loop starts from the current codes (init_state's are the
+    thresholded feature). Its value is non-increasing across steps, since
+    the solve minimizes f on a support that holds the thresholded step (a
+    step that ascends raises MonotonicityViolated). The loop stops at the
+    first step that does not lower it: a step that keeps every column's
+    support repeats the same solve and so returns the same codes. When
+    trace is a list it receives the objective value per inner step.
     """
     W = state.W.data
     Xd = X.data
@@ -153,17 +150,12 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
 
     Z = state.Z.data
     g, f_prev = evaluate(Z)
-    Z_thr = max_k_columns(WtX, hp.k)
-    g_thr, f_thr = evaluate(Z_thr)
-    if f_thr < f_prev:
-        Z, g, f_prev = Z_thr, g_thr, f_thr
     if trace is not None:
         trace.append(f_prev)
     for _ in range(hp.iht_iters):
         S = support_rows(max_k_columns(Z - eta * g, hp.k), hp.k).T
-        A = H[S[:, :, None], S[:, None, :]] + RIDGE * np.eye(hp.k)
         Z = np.zeros_like(b)
-        Z[S, cols] = np.linalg.solve(A, -b[S, cols][..., None])[..., 0]
+        Z[S, cols] = solve_on_supports(H, S, -b[S, cols])
         g, f = evaluate(Z)
         if f > f_prev + 1e-12 * max(1.0, abs(f_prev)):
             raise MonotonicityViolated(f"hard-thresholding step ascended: {f_prev} -> {f}")
@@ -270,7 +262,7 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
     allowance (MonotonicityViolated otherwise). If backtracking exhausts
     its budget the update stops where it is and emits a LineSearchFailed
     warning; progress already accepted is kept, so a first-step failure
-    returns the input dictionary unchanged.
+    returns the input dictionary renormalized (equal to it within 1e-15).
     """
     P = _WSubproblem(X.data, state.Z.data, state.Q, state.Y, hp)
     W = state.W.data
@@ -326,14 +318,11 @@ def update_Y(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> np.ndarray:
 
 
 def init_state(X: DataMatrix, hp: Hyperparams, seed) -> TrainerState:
-    """Seeded Gaussian dictionary, zero codes, zero split and dual."""
-    shape = (hp.m, X.N)
-    return TrainerState(
-        W=random_dictionary(X.n, hp.m, seed),
-        Z=SparseCodeBatch(np.zeros(shape), hp.k),
-        Q=np.zeros(shape),
-        Y=np.zeros(shape),
-    )
+    """Seeded Gaussian dictionary W, its thresholded feature
+    max_k(W^T X) as the codes, zero split and dual."""
+    W = random_dictionary(X.n, hp.m, seed)
+    Z = max_k_columns(W.data.T @ X.data, hp.k)
+    return TrainerState(W=W, Z=SparseCodeBatch(Z, hp.k), Q=np.zeros_like(Z), Y=np.zeros_like(Z))
 
 
 def train(X: DataMatrix, hp: Hyperparams, seed):

@@ -151,6 +151,18 @@ def test_omp_gram_singular_solve_raises(monkeypatch):
         baselines.omp_gram(W, DataMatrix(np.ones((8, 2))), 2)
 
 
+def test_solve_on_supports_matches_per_column_solves():
+    rng = np.random.default_rng(45)
+    B = rng.standard_normal((10, 10))
+    M = B @ B.T
+    S = np.array([rng.choice(10, 3, replace=False) for _ in range(6)])
+    rhs = rng.standard_normal((6, 3))
+    x = baselines.solve_on_supports(M, S, rhs)
+    for i in range(6):
+        A = M[np.ix_(S[i], S[i])] + baselines.RIDGE * np.eye(3)
+        assert np.allclose(x[i], np.linalg.solve(A, rhs[i]), rtol=1e-12, atol=0)
+
+
 def _ksvd_instance(seed):
     rng = np.random.default_rng(300 + seed)
     n, m, N, k = 16, 24, 400, 3

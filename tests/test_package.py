@@ -150,3 +150,13 @@ def test_range_rules_live_in_errors():
                     for sub in ast.walk(node)):
                 found.append(f"{name}:{node.lineno}: hand-written range check")
     assert not found, found
+
+
+def test_ridge_is_read_only_in_baselines():
+    # baselines.solve_on_supports is the one stacked support solve: no
+    # other module picks its own ridge for the normal equations
+    found = [f"{name}:{node.lineno}" for name, tree in _trees().items() if name != "baselines.py"
+             for node in ast.walk(tree)
+             if getattr(node, "id", None) == "RIDGE" or getattr(node, "attr", None) == "RIDGE"
+             or isinstance(node, ast.alias) and node.name == "RIDGE"]
+    assert not found, found

@@ -10,7 +10,7 @@ import pytest
 import dltf
 from dltf import baselines, cli, core, encoder, guarantees, prox, trainer
 from dltf.core import DataMatrix, Dictionary, SparseCodeBatch
-from dltf.errors import InvalidK, LineSearchFailed, MonotonicityViolated
+from dltf.errors import InvalidK, LineSearchFailed, MonotonicityViolated, SingularSubproblem
 
 
 def _random_state(rng, n, m, N, k, hp=None):
@@ -72,8 +72,11 @@ def test_init_state_draws_core_random_dictionary():
     X = _data(np.random.default_rng(2), 7, 30)
     hp = trainer.Hyperparams(m=11, k=2)
     for seed in (0, 5, 2**40):
-        W = trainer.init_state(X, hp, seed).W
-        assert W.data.tobytes() == core.random_dictionary(X.n, hp.m, seed).data.tobytes()
+        state = trainer.init_state(X, hp, seed)
+        W = core.random_dictionary(X.n, hp.m, seed).data
+        assert state.W.data.tobytes() == W.tobytes()
+        # the codes start at the thresholded feature of that dictionary
+        assert state.Z.data.tobytes() == encoder.max_k_columns(W.T @ X.data, hp.k).tobytes()
 
 
 def test_lagrangian_matches_direct_recomputation():
@@ -139,10 +142,12 @@ def test_update_z_descends_and_keeps_sparsity():
 
     Z = trainer.update_Z(state, X, hp)
     assert np.all((Z.data != 0).sum(axis=0) <= k)
-    # no worse than both admissible starting points
-    thr = encoder.encode_batch(state.W, X, k)
     assert smooth_value(Z.data) <= smooth_value(state.Z.data) + 1e-9
-    assert smooth_value(Z.data) <= smooth_value(thr) + 1e-9
+    # from init_state, no worse than the thresholded start
+    state = trainer.init_state(X, hp, seed=22)
+    state.Q, state.Y = rng.standard_normal((m, N)), rng.standard_normal((m, N))
+    Z = trainer.update_Z(state, X, hp)
+    assert smooth_value(Z.data) <= smooth_value(encoder.encode_batch(state.W, X, k)) + 1e-9
 
 
 def test_update_z_repeat_never_ascends():
@@ -192,19 +197,35 @@ def _ascending_solve(A, B):
     return np.full_like(B, 100.0)
 
 
-def test_update_z_ascent_raises_and_exits_two(monkeypatch, tmp_path):
+def _singular_solve(A, B):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _check_code_step_raises_and_exits_two(monkeypatch, tmp_path, solve, error):
+    """Under a patched np.linalg.solve, update_Z raises error and
+    `dltf train` exits with code 2."""
     rng = np.random.default_rng(36)
     hp = trainer.Hyperparams(m=12, k=2)
     state = _random_state(rng, 8, 12, 25, 2)
     X = _data(rng, 8, 25)
     data_path = str(tmp_path / "X.dltx")
     core.save_data_matrix(X, data_path)
-    monkeypatch.setattr(np.linalg, "solve", _ascending_solve)
-    with pytest.raises(MonotonicityViolated):
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(error):
         trainer.update_Z(state, X, hp)
     code = cli.main(["train", "--data", data_path, "--m", "12", "--k", "2",
                      "--iters", "1", "--seed", "0", "--out", str(tmp_path / "W.dltf")])
     assert code == 2
+
+
+def test_update_z_ascent_raises_and_exits_two(monkeypatch, tmp_path):
+    _check_code_step_raises_and_exits_two(monkeypatch, tmp_path, _ascending_solve,
+                                          MonotonicityViolated)
+
+
+def test_update_z_singular_solve_raises_and_exits_two(monkeypatch, tmp_path):
+    _check_code_step_raises_and_exits_two(monkeypatch, tmp_path, _singular_solve,
+                                          SingularSubproblem)
 
 
 def test_update_z_ascent_raises_under_optimize():
@@ -248,10 +269,6 @@ def _reference_update_z(state, X, hp, trace):
 
     Z = state.Z.data
     g, f_prev = evaluate(Z)
-    Z_thr = encoder.max_k_columns(WtX, hp.k)
-    g_thr, f_thr = evaluate(Z_thr)
-    if f_thr < f_prev:
-        Z, g, f_prev = Z_thr, g_thr, f_thr
     trace.append(f_prev)
     for _ in range(hp.iht_iters):
         U = Z - eta * g
@@ -310,14 +327,14 @@ def test_update_z_matches_full_selection_on_settled_supports():
 
 
 def test_iht_step_is_at_most_099_over_largest_hessian_eigenvalue(monkeypatch):
-    # k = m thresholds nothing, and Z0 = W^T X is also the thresholded
-    # start, so the first step's selection sees Z0 - eta (H Z0 + b).
+    # k = m thresholds nothing, so init_state's codes are Z0 = W^T X and
+    # the one step's selection sees Z0 - eta (H Z0 + b)
     hp = trainer.Hyperparams(m=32, k=32, iht_iters=1)
     X = _data(np.random.default_rng(4), 16, 60)
     state = trainer.init_state(X, hp, seed=9)
     W = state.W.data  # random_dictionary(16, 32, 9)
     Z0 = W.T @ X.data
-    state.Z = SparseCodeBatch(Z0, hp.k)
+    assert state.Z.data.tobytes() == Z0.tobytes()
     G = W.T @ W
     H = hp.theta * G + hp.beta * (G @ G)
     b = G @ (state.Y + hp.beta * (state.Q - W.T @ X.data)) - hp.theta * W.T @ X.data
@@ -330,8 +347,8 @@ def test_iht_step_is_at_most_099_over_largest_hessian_eigenvalue(monkeypatch):
 
     monkeypatch.setattr(trainer, "max_k_columns", recording_top_k)
     trainer.update_Z(state, X, hp)
-    assert len(selected) == 2  # the thresholded start, then the step
-    step = Z0 - selected[1]
+    assert len(selected) == 1
+    step = Z0 - selected[0]
     eta = float((step * g).sum()) / float((g * g).sum())
     assert np.linalg.norm(step - eta * g) <= 1e-12 * np.linalg.norm(step)
     # H's eigenvalues are theta s + beta s^2 over the eigenvalues s of G,
