@@ -17,7 +17,6 @@ from itertools import combinations
 import numpy as np
 
 from .core import Dictionary, gram
-from .encoder import max_k
 from .errors import (
     AllZeroCode,
     BudgetExceeded,
@@ -27,6 +26,7 @@ from .errors import (
     TooFewAtoms,
     check_k,
 )
+from .prox import k2_norm_sq
 
 # The isometry-based condition is proved for delta strictly below this.
 DELTA_SUP = 1.0 - math.sqrt(3.0) / 2.0
@@ -131,8 +131,7 @@ def rip_constant_exhaustive(W: Dictionary, k: int) -> float:
 
 
 def _tail_correlation_norm(W: Dictionary, e: np.ndarray, k: int) -> float:
-    sel = min(2 * k, W.m)
-    return float(np.linalg.norm(max_k(_noise_correlations(W, e), sel)))
+    return math.sqrt(k2_norm_sq(_noise_correlations(W, e), min(2 * k, W.m)))
 
 
 def strong_condition(W: Dictionary, z: np.ndarray, e: np.ndarray, delta: float) -> GuaranteeVerdict:

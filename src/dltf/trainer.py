@@ -10,8 +10,9 @@ updates per round:
        0.99/L, with L the exact largest eigenvalue of its Hessian, picks
        each column's top k rows; one stacked solve fits them exactly),
     Q: per-column prox of the squared (2k,2) norm (gamma = lambda/beta),
-    W: Riemannian descent on the product of spheres (Barzilai-Borwein
-       step, nonmonotone backtracking, renormalization retraction),
+    W: Riemannian descent on the product of spheres (the short
+       Barzilai-Borwein step, nonmonotone backtracking, renormalization
+       retraction),
     Y: dual ascent  Y += beta (Q - W^T (X - WZ)).
 
 The two inner loops evaluate once per point: the code step reads its
@@ -39,8 +40,8 @@ from .prox import k2_norm_sq, prox_k2
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Trainer knobs. beta must be positive; lam, theta and the two
-    tolerances finite and nonnegative; the iteration counts integers of at
+    """Trainer knobs. beta must be positive; lam, theta and the primal
+    tolerance finite and nonnegative; the iteration counts integers of at
     least 1."""
 
     m: int
@@ -51,14 +52,13 @@ class Hyperparams:
     outer_iters: int = 30
     iht_iters: int = 50
     w_iters: int = 30
-    w_grad_tol: float = 1e-6
     primal_tol: float = 1e-5
 
     def __post_init__(self):
         check_int(self.m, "m", least=1)
         check_k(self.k, self.m)
         check_real(self.beta, "beta", positive=True)
-        for name in ("lam", "theta", "w_grad_tol", "primal_tol"):
+        for name in ("lam", "theta", "primal_tol"):
             check_real(getattr(self, name), name)
         for name in ("outer_iters", "iht_iters", "w_iters"):
             check_int(getattr(self, name), name, least=1)
@@ -185,9 +185,10 @@ class _WSubproblem:
         c = theta/2 ||X||^2 + beta/2 ||Q||^2,
 
     so after five one-time products (X X^T, X Z^T, Z Z^T, X S^T, S Z^T)
-    each evaluate(W) call gives the value and gradient together from one
-    G, X X^T W and Z X^T W, in O(n m^2 + m^3) independent of the sample
-    count."""
+    each evaluate(W) call gives the value and gradient together from six
+    matrix products (G, X X^T W, Z X^T W and Z Z^T G, shared by both; one
+    W product for the gradient's m x m terms; X Z^T G), in O(n m^2 + m^3)
+    independent of the sample count."""
 
     def __init__(self, Xd, Z, Q, Y, hp: Hyperparams):
         self.beta = hp.beta
@@ -206,10 +207,11 @@ class _WSubproblem:
         dev = G - self.eye
         XXW = self.XXt @ W
         M = self.XZt.T @ W
+        ZZG = self.ZZt @ G
         a_sq = (
             float((W * XXW).sum())
             - 2.0 * float((G * M.T).sum())
-            + float(((G @ G) * self.ZZt).sum())
+            + float((G * ZZG).sum())
         )
         value = (
             float((dev * dev).sum())
@@ -218,11 +220,10 @@ class _WSubproblem:
             + 0.5 * self.beta * a_sq
             + self.const
         )
-        ZAt = M - self.ZZt @ G
+        ZAt = M - ZZG
         grad = (
-            4.0 * (W @ dev)
+            W @ (4.0 * dev + self.K + self.K.T - self.beta * (ZAt + ZAt.T))
             - self.L
-            + W @ (self.K + self.K.T - self.beta * (ZAt + ZAt.T))
             + self.beta * (XXW - self.XZt @ G)
         )
         return value, grad
@@ -255,8 +256,10 @@ def _retract(W: np.ndarray, direction: np.ndarray, tau: float):
 
 def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
     """Dictionary update: projected-gradient descent on the product of
-    spheres with a Barzilai-Borwein step and nonmonotone backtracking
-    (reference value = max of the last five accepted objectives).
+    spheres with the short Barzilai-Borwein step |s^T y| / y^T y and
+    nonmonotone backtracking (reference value = max of the last five
+    accepted objectives). It stops after w_iters steps or once the
+    projected gradient's norm falls below 1e-6.
 
     The objective never exceeds its input value plus the nonmonotone
     allowance (MonotonicityViolated otherwise). If backtracking exhausts
@@ -271,8 +274,8 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
     pg = _project_tangent(W, g)
     pg_sq = float((pg * pg).sum())
     tau = 1.0 / (1.0 + math.sqrt(pg_sq))
-    for it in range(hp.w_iters):
-        if math.sqrt(pg_sq) < hp.w_grad_tol:
+    for _ in range(hp.w_iters):
+        if math.sqrt(pg_sq) < 1e-6:
             break
         ref = max(hist[-5:])
         t = tau
@@ -295,11 +298,7 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
         y = pg_new - pg
         sy = float((s * y).sum())
         if sy != 0.0 and math.isfinite(sy):
-            if it % 2 == 0:
-                tau = float((s * s).sum()) / abs(sy)
-            else:
-                tau = abs(sy) / float((y * y).sum())
-            tau = min(max(tau, 1e-10), 1e10)
+            tau = min(max(abs(sy) / float((y * y).sum()), 1e-10), 1e10)
         else:
             tau = t
         W = W_new

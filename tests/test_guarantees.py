@@ -242,6 +242,19 @@ def test_strong_norm_lower_bound_values():
     assert abs(got - 2.0 * tail / (1.0 - 2.0 * math.sqrt(spread))) < 1e-12
 
 
+def test_strong_checks_reject_non_finite_noise():
+    W = orthonormal(8)
+    z = np.zeros(8)
+    z[[1, 5]] = 1.0
+    for bad in (np.nan, np.inf):
+        e = np.zeros(8)
+        e[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            guarantees.strong_condition(W, z, e, 0.01)
+        with pytest.raises(ValueError, match="non-finite"):
+            guarantees.strong_norm_lower_bound(0.01, 2, W, e)
+
+
 def test_strong_norm_lower_bound_denominator():
     W = orthonormal(8)
     with pytest.raises(DenominatorNonpositive) as exc:

@@ -160,3 +160,21 @@ def test_ridge_is_read_only_in_baselines():
              if getattr(node, "id", None) == "RIDGE" or getattr(node, "attr", None) == "RIDGE"
              or isinstance(node, ast.alias) and node.name == "RIDGE"]
     assert not found, found
+
+
+def test_loop_targets_are_read():
+    # a for target that nothing reads is a name no caller needs: bind _
+    unread = set()
+    for name, tree in _trees().items():
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+                continue
+            read = {node.id for node in ast.walk(scope)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            loops = [node for node in ast.walk(scope)
+                     if isinstance(node, (ast.For, ast.comprehension))]
+            unread |= {f"{name}:{target.lineno}: {target.id}" for loop in loops
+                       for target in ast.walk(loop.target)
+                       if isinstance(target, ast.Name) and target.id != "_"
+                       and target.id not in read}
+    assert not unread, sorted(unread)

@@ -3,12 +3,13 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import dltf
-from dltf import baselines, cli, core, encoder, guarantees, prox, trainer
+from dltf import baselines, bench, cli, core, encoder, guarantees, prox, trainer
 from dltf.core import DataMatrix, Dictionary, SparseCodeBatch
 from dltf.errors import InvalidK, LineSearchFailed, MonotonicityViolated, SingularSubproblem
 
@@ -45,10 +46,9 @@ def test_hyperparams_rejects_non_integral_m():
 
 def test_hyperparams_rejects_bad_tolerances_and_counts():
     nan = float("nan")
-    for name in ("w_grad_tol", "primal_tol"):
-        for bad in (nan, -1e-9, float("inf")):
-            with pytest.raises(ValueError):
-                trainer.Hyperparams(m=8, k=2, **{name: bad})
+    for bad in (nan, -1e-9, float("inf")):
+        with pytest.raises(ValueError):
+            trainer.Hyperparams(m=8, k=2, primal_tol=bad)
     for name in ("outer_iters", "iht_iters", "w_iters"):
         for bad in (2.5, True):
             with pytest.raises(TypeError, match=f"^{name}={bad} must be an integer$"):
@@ -56,7 +56,7 @@ def test_hyperparams_rejects_bad_tolerances_and_counts():
     for name in ("m", "outer_iters", "iht_iters", "w_iters"):
         with pytest.raises(ValueError, match=f"^{name}=0 must be at least 1$"):
             trainer.Hyperparams(**{"m": 8, "k": 2, name: 0})
-    for name in ("lam", "theta", "beta", "w_grad_tol", "primal_tol"):
+    for name in ("lam", "theta", "beta", "primal_tol"):
         for bad in (True, "1", None):
             with pytest.raises(TypeError, match=f"^{name}=.* must be a real number$"):
                 trainer.Hyperparams(m=8, k=2, **{name: bad})
@@ -64,7 +64,7 @@ def test_hyperparams_rejects_bad_tolerances_and_counts():
         trainer.Hyperparams(m=True, k=1)
     with pytest.raises(TypeError, match="^k=True must be an integer$"):
         trainer.Hyperparams(m=8, k=True)
-    hp = trainer.Hyperparams(m=8, k=2, w_grad_tol=0.0, primal_tol=0.0)
+    hp = trainer.Hyperparams(m=8, k=2, primal_tol=0.0)
     assert hp.primal_tol == 0.0
 
 
@@ -394,6 +394,21 @@ def test_update_z_on_its_own_output_stops_after_one_step():
         assert Z.data.tobytes() == state.Z.data.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_train_keeps_all_zero_data_columns_at_zero_codes():
+    # a zero data column has a zero thresholded step, so support_rows fills
+    # its support with zero rows and the solve on them returns zeros
+    inst = bench.generate_synthetic(16, 24, 50, 3, 0.1, 0)
+    Xd = inst.X.data.copy()
+    Xd[:, [4, 9]] = 0.0
+    hp = trainer.Hyperparams(m=24, k=3, outer_iters=5)
+    _, state = trainer.train(DataMatrix(Xd), hp, seed=0)
+    for A in (state.Z.data, state.Q, state.Y):
+        assert not A[:, [4, 9]].any()
+    rest = np.delete(state.Z.data, [4, 9], axis=1)
+    assert np.all((rest != 0).sum(axis=0) == 3)
+
+
 def test_update_q_lambda_zero_is_identity_target():
     rng = np.random.default_rng(24)
     n, m, N, k = 7, 10, 15, 2
@@ -519,7 +534,7 @@ def _reference_w_value(P, W):
     a_sq = (
         float((W * (P.XXt @ W)).sum())
         - 2.0 * float((G * M.T).sum())
-        + float(((G @ G) * P.ZZt).sum())
+        + float((G * (P.ZZt @ G)).sum())
     )
     return (
         float((dev * dev).sum())
@@ -536,15 +551,14 @@ def _reference_w_grad(P, W):
     XAt = P.XXt @ W - P.XZt @ G
     ZAt = P.XZt.T @ W - P.ZZt @ G
     return (
-        4.0 * (W @ (G - P.eye))
+        W @ (4.0 * (G - P.eye) + P.K + P.K.T - P.beta * (ZAt + ZAt.T))
         - P.L
-        + W @ (P.K + P.K.T - P.beta * (ZAt + ZAt.T))
         + P.beta * XAt
     )
 
 
 def test_w_evaluate_matches_separate_value_and_gradient_bit_for_bit():
-    # value and gradient share G, X X^T W and Z X^T W in one call; each
+    # value and gradient share G, X X^T W, Z X^T W and Z Z^T G in one call; each
     # must still come out exactly as its own expression computes it
     rng = np.random.default_rng(41)
     for beta, theta, lam in ((1.7, 0.4, 0.3), (0.3, 2.5, 0.05), (4.0, 0.0, 1.0),
@@ -578,16 +592,30 @@ def test_update_w_descends_and_stays_unit_norm():
         assert np.max(np.abs(np.linalg.norm(W_new.data, axis=0) - 1.0)) <= 1e-8
 
 
-def test_update_w_near_stationary_point_stays_put():
-    # gradient tolerance reached immediately: output equals input
+def test_update_w_near_stationary_point_stays_put(monkeypatch):
+    # orthonormal atoms (n >= m), data the dictionary represents exactly and
+    # Y = Q = 0, lam = theta = 0: the gradient vanishes, so the step stops at
+    # its starting point after the one evaluation there
     rng = np.random.default_rng(29)
-    n, m, N, k = 6, 9, 10, 2
-    hp = trainer.Hyperparams(m=m, k=k, lam=0.0, theta=0.0, beta=1e-12,
-                             w_iters=50, w_grad_tol=1e30)
-    state = _random_state(rng, n, m, N, k)
-    X = _data(rng, n, N)
-    W_new = trainer.update_W(state, X, hp)
-    assert np.allclose(W_new.data, state.W.data)
+    n, m, N, k = 12, 9, 10, 2
+    W = Dictionary(np.linalg.qr(rng.standard_normal((n, m)))[0])
+    Z = encoder.max_k_columns(rng.standard_normal((m, N)), k)
+    state = trainer.TrainerState(W=W, Z=SparseCodeBatch(Z, k),
+                                 Q=np.zeros((m, N)), Y=np.zeros((m, N)))
+    hp = trainer.Hyperparams(m=m, k=k, lam=0.0, theta=0.0, w_iters=50)
+    calls = []
+    evaluate = trainer._WSubproblem.evaluate
+
+    def counted(self, W):
+        calls.append(1)
+        return evaluate(self, W)
+
+    monkeypatch.setattr(trainer._WSubproblem, "evaluate", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LineSearchFailed)
+        W_new = trainer.update_W(state, DataMatrix(W.data @ Z), hp)
+    assert len(calls) == 1
+    assert np.max(np.abs(W_new.data - W.data)) <= 1e-15
 
 
 def test_update_w_line_search_failure_warns_and_keeps_the_input(monkeypatch):
