@@ -6,6 +6,7 @@ K-SVD dictionary learner whose codes come from OMP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ def omp(W: core.Dictionary, x: np.ndarray, k: int) -> OmpResult:
     residual = x.copy()
     coef = np.zeros(0)
     for _ in range(k):
-        rnorm = float(np.linalg.norm(residual))
+        rnorm = math.sqrt(residual.dot(residual))  # np.linalg.norm's formula
         if rnorm < RESIDUAL_FLOOR:
             break
         corr = np.abs(W.data.T @ residual)
@@ -61,7 +62,7 @@ def omp(W: core.Dictionary, x: np.ndarray, k: int) -> OmpResult:
 
     code = np.zeros(m)
     code[picked] = coef
-    return OmpResult(code=code, residual_norm=float(np.linalg.norm(residual)),
+    return OmpResult(code=code, residual_norm=math.sqrt(residual.dot(residual)),
                      atoms=tuple(picked))
 
 
@@ -140,15 +141,18 @@ def _dominant_pair(R: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     steps, stopping once u moves less than POWER_TOL.
     Returns (u, s*v) with u unit-norm.
     """
+    # v0 may be a strided column, which np.linalg.norm copies before its
+    # dot; a dot on the strided view sums in another order
     u = v0 / max(np.linalg.norm(v0), 1e-300)
     for _ in range(POWER_ITERS):
         v = R.T @ u
         u_new = R @ v
-        nrm = np.linalg.norm(u_new)
+        nrm = math.sqrt(u_new.dot(u_new))
         if nrm < 1e-300:
             return u, R.T @ u
         u_new /= nrm
-        if np.linalg.norm(u_new - u) < POWER_TOL:
+        d = u_new - u
+        if math.sqrt(d.dot(d)) < POWER_TOL:
             u = u_new
             break
         u = u_new
@@ -190,12 +194,12 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
                     W[:, j] = col / nrm
                 continue
             # residual block with atom j's contribution restored
-            Rj = E[:, uses] + np.outer(W[:, j], Z[j, uses])
+            Rj = E[:, uses] + W[:, j, None] * Z[j, uses]
             u, sv = _dominant_pair(Rj, W[:, j])
             nz = np.flatnonzero(u)
             if nz.size and u[nz[0]] < 0:
                 u, sv = -u, -sv
             W[:, j] = u
             Z[j, uses] = sv
-            E[:, uses] = Rj - np.outer(u, sv)
+            E[:, uses] = Rj - u[:, None] * sv
     return core.normalize_columns(W)

@@ -26,6 +26,17 @@ min(c_j, v) for j < p and max(c_j / g, v) for j >= p; the sort's
 permutation and the input's signs carry it back. The merge count is the
 pooled block's length minus one: the block is {j < p : c_j > v} and
 {j >= p : c_j / g < v}.
+
+When k' + 8 <= m/4, the size alone picks a shorter path, the same for a
+vector and for every column of a batch: np.argpartition picks each
+column's top k' + 8 magnitudes, and only that slice is sorted and
+solved, as its own problem with 8 left entries. Its pooled value v is
+the column's whenever v is at least the slice's smallest entry, because
+every excluded entry is at most that entry and so stays put; the merge
+count is then the full sort's too. A column whose v falls below the
+slice's smallest entry, the only case in which an excluded entry could
+pool, goes back through the full sort. A column that does not fall back
+costs O(m + (k'+8) log(k'+8)).
 """
 
 from __future__ import annotations
@@ -34,6 +45,9 @@ import numpy as np
 
 from .core import as_finite_array
 from .errors import DimensionMismatch, check_k, check_real
+
+# Left entries kept below a column's top k' on the top-slice path.
+_SLACK = 8
 
 
 def k2_norm_sq(v, k: int) -> float:
@@ -100,26 +114,62 @@ def _solve_sorted(S: np.ndarray, p: int, g: float) -> np.ndarray:
     return merges
 
 
+def _prox_rows(A: np.ndarray, kprime: int, g: float) -> np.ndarray:
+    """Replace each row of the C-contiguous magnitudes A by its prox, in
+    place, by the full stable sort, and return the merge counts."""
+    rows = np.arange(A.shape[0])[:, None]
+    order = A.argsort(axis=1, kind="stable")
+    S = A[rows, order]
+    merges = _solve_sorted(S, A.shape[1] - kprime, g)
+    A[rows, order] = S
+    return merges
+
+
+def _prox_rows_top(A: np.ndarray, kprime: int, g: float) -> np.ndarray:
+    """_prox_rows from each row's top kprime + _SLACK magnitudes alone.
+
+    The slice is solved as its own problem, with _SLACK left entries. Its
+    pooled value v is the row's whenever v is at least the slice's
+    smallest entry, since every excluded entry is at most that entry and
+    so stays put; the other rows go back through _prox_rows."""
+    t = kprime + _SLACK
+    rows = np.arange(A.shape[0])[:, None]
+    top = np.argpartition(A, A.shape[1] - t, axis=1)[:, -t:]
+    T = A[rows, top]
+    order = T.argsort(axis=1, kind="stable")
+    top = top[rows, order]
+    S = T[rows, order]
+    smallest = S[:, 0].copy()
+    merges = _solve_sorted(S, _SLACK, g)
+    back = np.flatnonzero(S[:, 0] < smallest)  # v below the slice's smallest entry
+    B = A[back]
+    A[rows, top] = S
+    if back.size:
+        merges[back] = _prox_rows(B, kprime, g)
+        A[back] = B
+    return merges
+
+
 def prox_k2(c, kprime: int, gamma: float, return_merges: bool = False):
     """Prox of the squared (k',2) norm at a vector, or at each column of an
     m x N matrix (one call, no per-column loop).
 
-    Signs and positions are round-tripped through a stable magnitude sort
-    (ties keep original index order), so the output keeps the signs and
-    the magnitude order of the input, and zero entries stay zero. With
+    Signs and positions are round-tripped through a magnitude sort, and
+    equal magnitudes get equal outputs whichever order their sort leaves
+    them in, so the output keeps the signs and the magnitude order of the
+    input, and zero entries stay zero. With
     ``return_merges`` the merge count is returned as a second value (an
     int for a vector, one per column for a matrix); it is at most m-1.
+    When k' + 8 <= m/4 only each column's top k' + 8 magnitudes are
+    sorted (module docstring).
     """
     c = as_finite_array(c, "c", (1, 2))
     kprime = check_k(kprime, c.shape[0])
     gamma = check_real(gamma, "gamma")
     # the columns of c (or the vector c) as the rows of A
     A = np.abs(c[None, :] if c.ndim == 1 else c.T, order="C")
-    rows = np.arange(A.shape[0])[:, None]
-    order = A.argsort(axis=1, kind="stable")
-    S = A[rows, order]
-    merges = _solve_sorted(S, S.shape[1] - kprime, 1.0 + gamma)
-    A[rows, order] = S
+    solve = _prox_rows_top if 4 * (kprime + _SLACK) <= A.shape[1] else _prox_rows
+    merges = solve(A, kprime, 1.0 + gamma)
     if c.ndim == 1:
         q, merges = np.copysign(A[0], c), int(merges[0])
     else:

@@ -8,7 +8,8 @@ updates per round:
 
     Z: hard thresholding pursuit on the smooth part (a gradient step of
        0.99/L, with L the exact largest eigenvalue of its Hessian, picks
-       each column's top k rows; one stacked solve fits them exactly),
+       each column's top k rows; one stacked solve fits them exactly; a
+       step that repeats the previous step's rows ends the loop unsolved),
     Q: per-column prox of the squared (2k,2) norm (gamma = lambda/beta),
     W: Riemannian descent on the product of spheres (the short
        Barzilai-Borwein step, nonmonotone backtracking, renormalization
@@ -107,8 +108,19 @@ def primal_residual(state: TrainerState, X: DataMatrix) -> float:
 
 def support_rows(Z: np.ndarray, k: int) -> np.ndarray:
     """k row indices per column of Z, as a k x N array: the column's
-    nonzero rows, then its zero rows, each in ascending order."""
-    return np.argsort(Z == 0, axis=0, kind="stable")[:k]
+    nonzero rows, then its zero rows, each in ascending order. Columns
+    with exactly k nonzeros are read from one np.flatnonzero pass, the
+    others by a stable argsort."""
+    m, N = Z.shape
+    flat = np.flatnonzero((Z != 0).T.ravel())  # column by column
+    col = flat // m
+    exact = np.bincount(col, minlength=N) == k
+    rows = np.empty((k, N), dtype=np.intp)
+    rows[:, exact] = (flat[exact[col]] % m).reshape(-1, k).T
+    if not exact.all():
+        rest = ~exact
+        rows[:, rest] = np.argsort(Z[:, rest] == 0, axis=0, kind="stable")[:k]
+    return rows
 
 
 def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
@@ -127,10 +139,12 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     The inner loop starts from the current codes (init_state's are the
     thresholded feature). Its value is non-increasing across steps, since
     the solve minimizes f on a support that holds the thresholded step (a
-    step that ascends raises MonotonicityViolated). The loop stops at the
-    first step that does not lower it: a step that keeps every column's
-    support repeats the same solve and so returns the same codes. When
-    trace is a list it receives the objective value per inner step.
+    step that ascends raises MonotonicityViolated). A step that selects
+    the same supports as the step before would repeat that solve and the
+    H Z product bit for bit, so the loop stops there, before the solve,
+    and the step's value is the previous one; it also stops at the first
+    step that does not lower the value. When trace is a list it receives
+    the objective value per inner step.
     """
     W = state.W.data
     Xd = X.data
@@ -138,8 +152,12 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     WtX = W.T @ Xd
     D = state.Q - WtX
     H = hp.theta * G + hp.beta * (G @ G)
-    b = G @ (state.Y + hp.beta * D) - hp.theta * WtX
     c = 0.5 * hp.theta * float((Xd * Xd).sum()) + 0.5 * hp.beta * float((D * D).sum())
+    D *= hp.beta
+    D += state.Y
+    b = G @ D
+    WtX *= hp.theta
+    b -= WtX
     eta = 0.99 / np.linalg.eigvalsh(H)[-1]
     cols = np.arange(b.shape[1])[:, None]
 
@@ -152,8 +170,16 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     g, f_prev = evaluate(Z)
     if trace is not None:
         trace.append(f_prev)
+    S_prev = None
     for _ in range(hp.iht_iters):
-        S = support_rows(max_k_columns(Z - eta * g, hp.k), hp.k).T
+        g *= -eta
+        g += Z  # the gradient step Z - eta g, in g's buffer
+        S = support_rows(max_k_columns(g, hp.k), hp.k).T
+        if S_prev is not None and np.array_equal(S, S_prev):
+            if trace is not None:
+                trace.append(f_prev)
+            break
+        S_prev = S
         Z = np.zeros_like(b)
         Z[S, cols] = solve_on_supports(H, S, -b[S, cols])
         g, f = evaluate(Z)
@@ -184,48 +210,55 @@ class _WSubproblem:
         L = X S^T + theta X Z^T,  K = S Z^T + theta/2 Z Z^T,
         c = theta/2 ||X||^2 + beta/2 ||Q||^2,
 
-    so after five one-time products (X X^T, X Z^T, Z Z^T, X S^T, S Z^T)
-    each evaluate(W) call gives the value and gradient together from six
+    so after five one-time products (X X^T, X Z^T, Z Z^T, X S^T, S Z^T),
+    with K + K^T and a contiguous Z X^T formed once as well, each
+    evaluate(W) call gives the value and gradient together from six
     matrix products (G, X X^T W, Z X^T W and Z Z^T G, shared by both; one
     W product for the gradient's m x m terms; X Z^T G), in O(n m^2 + m^3)
-    independent of the sample count."""
+    independent of the sample count. Inner products are np.vdot calls,
+    and the gradient's m x m matrix is built in place."""
 
     def __init__(self, Xd, Z, Q, Y, hp: Hyperparams):
         self.beta = hp.beta
         self.eye = np.eye(Z.shape[0])
         self.XXt = Xd @ Xd.T
         self.XZt = Xd @ Z.T
+        self.ZXt = np.ascontiguousarray(self.XZt.T)
         self.ZZt = Z @ Z.T
         S = hp.beta * Q
         S += Y
         self.L = Xd @ S.T + hp.theta * self.XZt
         self.K = S @ Z.T + 0.5 * hp.theta * self.ZZt
+        self.KKt = self.K + self.K.T
         self.const = 0.5 * hp.theta * float((Xd * Xd).sum()) + 0.5 * hp.beta * float((Q * Q).sum())
 
     def evaluate(self, W: np.ndarray):
-        G = W.T @ W
+        G = W.T @ W  # symmetric, so <G, M^T> = <G, M>
         dev = G - self.eye
         XXW = self.XXt @ W
-        M = self.XZt.T @ W
+        M = self.ZXt @ W
         ZZG = self.ZZt @ G
-        a_sq = (
-            float((W * XXW).sum())
-            - 2.0 * float((G * M.T).sum())
-            + float((G * ZZG).sum())
-        )
+        a_sq = float(np.vdot(W, XXW)) - 2.0 * float(np.vdot(G, M)) + float(np.vdot(G, ZZG))
         value = (
-            float((dev * dev).sum())
-            - float((W * self.L).sum())
-            + float((G * self.K).sum())
+            float(np.vdot(dev, dev))
+            - float(np.vdot(W, self.L))
+            + float(np.vdot(G, self.K))
             + 0.5 * self.beta * a_sq
             + self.const
         )
-        ZAt = M - ZZG
-        grad = (
-            W @ (4.0 * dev + self.K + self.K.T - self.beta * (ZAt + ZAt.T))
-            - self.L
-            + self.beta * (XXW - self.XZt @ G)
-        )
+        # B = 4 (G - I) + K + K^T - beta (Z A^T + A Z^T), with Z A^T = M - ZZG
+        B = dev
+        B *= 4.0
+        B += self.KKt
+        M -= ZZG
+        sym = M + M.T
+        sym *= self.beta
+        B -= sym
+        grad = W @ B
+        grad -= self.L
+        XXW -= self.XZt @ G
+        XXW *= self.beta
+        grad += XXW
         return value, grad
 
 
@@ -331,17 +364,22 @@ def train(X: DataMatrix, hp: Hyperparams, seed):
     below primal_tol * sqrt(m N). Deterministic given (X, hp, seed).
     Each history record carries the Lagrangian value, primal residual,
     worst column-norm deviation, reconstruction error, the round's code
-    step count (iht_steps), and wall time.
+    step count (iht_steps), the ms each update took (z_ms, q_ms, w_ms,
+    y_ms) and the round's wall time (wall_ms, which adds the diagnostics).
     """
     state = init_state(X, hp, seed)
     stop = hp.primal_tol * math.sqrt(hp.m * X.N)
     for it in range(hp.outer_iters):
-        tic = time.perf_counter()
         iht_trace = []
+        stamps = [time.perf_counter()]
         state.Z = update_Z(state, X, hp, trace=iht_trace)
+        stamps.append(time.perf_counter())
         state.Q = update_Q(state, X, hp)
+        stamps.append(time.perf_counter())
         state.W = update_W(state, X, hp)
+        stamps.append(time.perf_counter())
         state.Y = update_Y(state, X, hp)
+        stamps.append(time.perf_counter())
         primal = primal_residual(state, X)
         colnorms = np.linalg.norm(state.W.data, axis=0)
         recon = float(np.linalg.norm(X.data - state.W.data @ state.Z.data))
@@ -353,7 +391,8 @@ def train(X: DataMatrix, hp: Hyperparams, seed):
                 "max_colnorm_dev": float(np.max(np.abs(colnorms - 1.0))),
                 "recon_error": recon,
                 "iht_steps": len(iht_trace) - 1,
-                "wall_ms": (time.perf_counter() - tic) * 1e3,
+                **{f"{u}_ms": (b - a) * 1e3 for u, a, b in zip("zqwy", stamps, stamps[1:])},
+                "wall_ms": (time.perf_counter() - stamps[0]) * 1e3,
             }
         )
         if primal < stop:

@@ -71,6 +71,82 @@ def test_omp_validation():
         baselines.omp(W, np.ones(8), 13)
 
 
+def _omp_reference(W, x, k):
+    """omp as a plain loop that takes every norm with np.linalg.norm: the
+    reference omp must match byte for byte. Returns (code, residual norm,
+    atoms)."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    picked, residual, coef = [], x.copy(), np.zeros(0)
+    for _ in range(k):
+        if float(np.linalg.norm(residual)) < baselines.RESIDUAL_FLOOR:
+            break
+        corr = np.abs(W.data.T @ residual)
+        corr[picked] = -1.0
+        picked.append(int(np.argmax(corr)))
+        S = W.data[:, picked]
+        coef = np.linalg.solve(S.T @ S + baselines.RIDGE * np.eye(len(picked)), S.T @ x)
+        residual = x - S @ coef
+    code = np.zeros(W.data.shape[1])
+    code[picked] = coef
+    return code, float(np.linalg.norm(residual)), tuple(picked)
+
+
+def test_omp_matches_norm_reference_byte_for_byte():
+    rng = np.random.default_rng(50)
+    Wq, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    z = np.zeros(16)
+    z[[3, 11]] = [1.5, -0.7]
+    early = np.column_stack([Wq @ z, np.zeros(16)])  # stop after 2 atoms, and at once
+    cases = [(core.Dictionary(Wq), DataMatrix(early), 4),
+             (core.random_dictionary(64, 128, seed=11),
+              DataMatrix(rng.standard_normal((64, 12))), None)]
+    stops = []
+    for W, X, k_only in cases:
+        for k in (k_only,) if k_only else (1, 4, 8):
+            for i in range(X.data.shape[1]):
+                x = X.data[:, i]  # a strided column, as omp_batch passes it
+                res = baselines.omp(W, x, k)
+                code, rnorm, atoms = _omp_reference(W, x, k)
+                assert res.code.tobytes() == code.tobytes()
+                assert res.residual_norm.hex() == rnorm.hex()
+                assert res.atoms == atoms
+                stops.append(len(atoms))
+    assert stops[:2] == [2, 0]
+
+
+def _dominant_pair_reference(R, v0):
+    """_dominant_pair with every norm taken by np.linalg.norm."""
+    u = v0 / max(np.linalg.norm(v0), 1e-300)
+    for _ in range(baselines.POWER_ITERS):
+        v = R.T @ u
+        u_new = R @ v
+        nrm = np.linalg.norm(u_new)
+        if nrm < 1e-300:
+            return u, R.T @ u
+        u_new /= nrm
+        if np.linalg.norm(u_new - u) < baselines.POWER_TOL:
+            u = u_new
+            break
+        u = u_new
+    return u, R.T @ u
+
+
+def test_dominant_pair_matches_norm_reference_byte_for_byte():
+    # a dot on a strided column sums in another order than norm's copy
+    # does; for about one column in five the bytes differ
+    rng = np.random.default_rng(51)
+    W = rng.standard_normal((64, 40))
+    a = rng.standard_normal(64)
+    blocks = [rng.standard_normal((64, 5)), rng.standard_normal((64, 40)),
+              np.outer(a, rng.standard_normal(3)), np.zeros((64, 2))]
+    for R in blocks:
+        for j in range(W.shape[1]):
+            v0 = W[:, j]  # a strided column, as ksvd_train passes it
+            got = baselines._dominant_pair(R, v0)
+            want = _dominant_pair_reference(R, v0)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 def test_omp_batch_matches_per_sample():
     rng = np.random.default_rng(44)
     W = core.random_dictionary(9, 15, seed=6)

@@ -285,6 +285,67 @@ def test_closed_form_matches_pav_reference():
         assert n == ref_merges
 
 
+def _slice_rule_batch(rng, m, kprime):
+    """37 columns for m x 37 prox calls: random ones, some rounded to make
+    ties; ties across the top slice's lower edge and across p = m - k';
+    all-equal magnitudes; an all-zero column; signed zeros."""
+    C = rng.standard_normal((m, 37)) * rng.uniform(0.1, 10.0, 37)
+    C[:, :10] = np.round(C[:, :10])
+    t = kprime + 8
+    mags = np.sort(np.abs(C[:, 30]))[::-1]
+    C[np.abs(C[:, 30]) == mags[t], 30] = mags[t - 1]  # ranks t and t+1 tie
+    mags = np.sort(np.abs(C[:, 31]))[::-1]
+    C[np.abs(C[:, 31]) == mags[kprime], 31] = -mags[kprime - 1]  # tie across p
+    C[:, 32] = 1.5 * np.where(np.arange(m) % 3, 1.0, -1.0)  # all-equal magnitudes
+    C[:, 33] = 0.0
+    C[::5, 34] = -0.0
+    C[::7, 35] = 0.0
+    return C
+
+
+@pytest.mark.parametrize("kprime, sliced", [(8, True), (16, True), (32, False)])
+def test_top_slice_prox_matches_columns_full_path_and_pav(monkeypatch, kprime, sliced):
+    # m = 128: k' + 8 <= m/4 takes the top-slice path for k' = 8 and 16;
+    # k' = 32 sorts whole columns
+    rng = np.random.default_rng(32)
+    m = 128
+    full_rows = []
+    prox_rows = prox._prox_rows
+
+    def counted(A, *args):
+        full_rows.append(A.shape[0])
+        return prox_rows(A, *args)
+
+    for gamma in (0.0, 0.01, 0.1, 1.0, 10.0):
+        C = _slice_rule_batch(rng, m, kprime)
+        monkeypatch.setattr(prox, "_prox_rows", counted)
+        Q, merges = prox.prox_k2(C, kprime, gamma, return_merges=True)
+        monkeypatch.setattr(prox, "_prox_rows", prox_rows)
+        # the full stable sort of every column, as the reference path
+        A = np.abs(C.T, order="C")
+        full_merges = prox_rows(A, kprime, 1.0 + gamma)
+        assert np.array_equal(merges, full_merges), gamma
+        assert np.max(np.abs(Q - np.copysign(A.T, C))) <= 1e-12 * np.max(np.abs(C))
+        for i in range(C.shape[1]):
+            c = C[:, i]
+            q, n = prox.prox_k2(c, kprime, gamma, return_merges=True)
+            assert q.tobytes() == Q[:, i].tobytes() and n == merges[i]
+            ref, ref_merges = pav_prox(c, kprime, gamma)
+            assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(c)), (kprime, gamma, i)
+            if i >= 10 and i not in (30, 31, 32):  # untied columns
+                assert n == ref_merges, (kprime, gamma, i)
+        assert np.array_equal(np.signbit(Q), np.signbit(C))
+        if not sliced:
+            assert full_rows[-1] == C.shape[1]
+        elif gamma > 0.0:
+            # all-equal magnitudes pool below the slice, and at gamma = 1
+            # and 10 nearly every column does; the zero column never does
+            assert 0 < full_rows[-1] < C.shape[1]
+        else:
+            assert not full_rows  # nothing pools
+        full_rows.clear()
+
+
 def test_prox_batch_input_errors():
     with pytest.raises(DimensionMismatch):
         prox.prox_k2(np.ones((2, 2, 2)), 1, 1.0)

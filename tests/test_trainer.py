@@ -377,9 +377,17 @@ def test_update_z_duplicate_atoms_on_one_support_stay_finite():
     assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
-def test_update_z_on_its_own_output_stops_after_one_step():
-    # the step from a settled support repeats its solve bit for bit, so
-    # it does not lower the objective and the loop stops there
+def test_update_z_on_its_own_output_stops_after_one_step(monkeypatch):
+    # the step from a settled support would repeat its solve bit for bit,
+    # so it does not lower the objective and the loop stops there; a step
+    # that selects the previous step's supports stops before the solve
+    solves = []
+
+    def counted(*args):
+        solves.append(1)
+        return baselines.solve_on_supports(*args)
+
+    monkeypatch.setattr(trainer, "solve_on_supports", counted)
     rng = np.random.default_rng(43)
     for n, m, N, k in [(8, 12, 40, 2), (10, 16, 60, 3), (12, 20, 50, 4)]:
         hp = trainer.Hyperparams(m=m, k=k, lam=0.1, theta=0.4, beta=1.1)
@@ -388,10 +396,31 @@ def test_update_z_on_its_own_output_stops_after_one_step():
         first = []
         state.Z = trainer.update_Z(state, X, hp, trace=first)
         assert len(first) - 1 < hp.iht_iters
+        assert len(solves) == len(first) - 2 and first[-1] == first[-2]
+        solves.clear()
         again = []
         Z = trainer.update_Z(state, X, hp, trace=again)
+        assert len(solves) == 1
+        solves.clear()
         assert again == [first[-1], first[-1]]
         assert Z.data.tobytes() == state.Z.data.tobytes()
+
+
+def test_support_rows_matches_stable_argsort():
+    rng = np.random.default_rng(44)
+    m, N = 10, 40
+    for k in (1, 3, m):
+        Z = encoder.max_k_columns(rng.standard_normal((m, N)), k)
+        Z[:, 5] = 0.0  # all zero
+        Z[rng.choice(m, 2, replace=False), 6] = -0.0  # signed zeros
+        Z[:, 7] = 0.0
+        Z[2, 7] = 1.0  # fewer than k nonzeros when k > 1
+        Z[:, 8] = -0.0
+        Z[[0, 9], 9] = [0.5, -0.0]
+        for cols in (slice(None), slice(10, None), slice(5, 10)):
+            Zc = np.ascontiguousarray(Z[:, cols])
+            want = np.argsort(Zc == 0, axis=0, kind="stable")[:k]
+            assert np.array_equal(trainer.support_rows(Zc, k), want), (k, cols)
 
 
 @pytest.mark.filterwarnings("error")
@@ -530,16 +559,15 @@ def _reference_w_value(P, W):
     """Reference: the dictionary-step value computed apart from the gradient."""
     G = W.T @ W
     dev = G - P.eye
-    M = P.XZt.T @ W
     a_sq = (
-        float((W * (P.XXt @ W)).sum())
-        - 2.0 * float((G * M.T).sum())
-        + float((G * (P.ZZt @ G)).sum())
+        float(np.vdot(W, P.XXt @ W))
+        - 2.0 * float(np.vdot(G, P.ZXt @ W))
+        + float(np.vdot(G, P.ZZt @ G))
     )
     return (
-        float((dev * dev).sum())
-        - float((W * P.L).sum())
-        + float((G * P.K).sum())
+        float(np.vdot(dev, dev))
+        - float(np.vdot(W, P.L))
+        + float(np.vdot(G, P.K))
         + 0.5 * P.beta * a_sq
         + P.const
     )
@@ -549,9 +577,9 @@ def _reference_w_grad(P, W):
     """Reference: the dictionary-step gradient computed apart from the value."""
     G = W.T @ W
     XAt = P.XXt @ W - P.XZt @ G
-    ZAt = P.XZt.T @ W - P.ZZt @ G
+    ZAt = P.ZXt @ W - P.ZZt @ G
     return (
-        W @ (4.0 * (G - P.eye) + P.K + P.K.T - P.beta * (ZAt + ZAt.T))
+        W @ (4.0 * (G - P.eye) + P.KKt - P.beta * (ZAt + ZAt.T))
         - P.L
         + P.beta * XAt
     )
@@ -660,7 +688,8 @@ def test_train_deterministic_and_invariant():
     assert len(s1.history) == 5
     for rec in s1.history:
         for key in ("iteration", "lagrangian", "primal_residual",
-                    "max_colnorm_dev", "recon_error", "iht_steps", "wall_ms"):
+                    "max_colnorm_dev", "recon_error", "iht_steps",
+                    "z_ms", "q_ms", "w_ms", "y_ms", "wall_ms"):
             assert key in rec
         assert rec["max_colnorm_dev"] <= 1e-8
 
