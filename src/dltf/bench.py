@@ -145,12 +145,13 @@ def _build_dictionary(method: str, cfg: BenchConfig, k: int, seed: int,
                                  beta=cfg.beta, outer_iters=cfg.dltf_outer_iters)
         dltf_seed = _cell_seed_int(seed, _STREAM_DLTF, k)
         W, state = trainer.train(train_inst.X, hp, seed=dltf_seed)
-        W_init = trainer.init_state(train_inst.X, hp, seed=dltf_seed).W
+        W_init = core.random_dictionary(cfg.n, cfg.m, dltf_seed)  # init_state's draw
         extras = {
             "coherence": guarantees.mutual_coherence(W).mu,
             "init_coherence": guarantees.mutual_coherence(W_init).mu,
             "rounds": len(state.history),
             "iht_steps": sum(rec["iht_steps"] for rec in state.history),
+            "w_steps": sum(rec["w_steps"] for rec in state.history),
         }
         return align_atoms(W, train_inst.W0), extras
     raise ValueError(f"unknown method {method!r}")

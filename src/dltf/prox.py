@@ -56,9 +56,10 @@ def k2_norm_sq(v, k: int) -> float:
     arr = as_finite_array(v, "v", (1, 2))
     m = arr.shape[0]
     k = check_k(k, m)
-    sq = arr * arr
+    sq = np.square(arr.T, order="C")  # a matrix's columns as contiguous rows
     if k < m:
-        sq = np.partition(sq, m - k, axis=0)[m - k:]
+        sq.partition(m - k, axis=-1)  # in place: np.partition would copy
+        sq = sq[..., m - k:]
     return float(sq.sum())
 
 

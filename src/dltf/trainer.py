@@ -13,7 +13,7 @@ updates per round:
     Q: per-column prox of the squared (2k,2) norm (gamma = lambda/beta),
     W: Riemannian descent on the product of spheres (the short
        Barzilai-Borwein step, nonmonotone backtracking, renormalization
-       retraction),
+       retraction; it stops once a step no longer pays),
     Y: dual ascent  Y += beta (Q - W^T (X - WZ)).
 
 The two inner loops evaluate once per point: the code step reads its
@@ -92,10 +92,10 @@ def lagrangian_value(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> flo
     gram_dev = G - np.eye(hp.m)
     return (
         0.5 * hp.lam * k2_norm_sq(state.Q, hp.kprime)
-        + float((gram_dev * gram_dev).sum())
-        + 0.5 * hp.theta * float((resid * resid).sum())
-        + float((state.Y * R).sum())
-        + 0.5 * hp.beta * float((R * R).sum())
+        + float(np.vdot(gram_dev, gram_dev))
+        + 0.5 * hp.theta * float(np.vdot(resid, resid))
+        + float(np.vdot(state.Y, R))
+        + 0.5 * hp.beta * float(np.vdot(R, R))
     )
 
 
@@ -152,7 +152,7 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     WtX = W.T @ Xd
     D = state.Q - WtX
     H = hp.theta * G + hp.beta * (G @ G)
-    c = 0.5 * hp.theta * float((Xd * Xd).sum()) + 0.5 * hp.beta * float((D * D).sum())
+    c = 0.5 * hp.theta * float(np.vdot(Xd, Xd)) + 0.5 * hp.beta * float(np.vdot(D, D))
     D *= hp.beta
     D += state.Y
     b = G @ D
@@ -230,7 +230,7 @@ class _WSubproblem:
         self.L = Xd @ S.T + hp.theta * self.XZt
         self.K = S @ Z.T + 0.5 * hp.theta * self.ZZt
         self.KKt = self.K + self.K.T
-        self.const = 0.5 * hp.theta * float((Xd * Xd).sum()) + 0.5 * hp.beta * float((Q * Q).sum())
+        self.const = 0.5 * hp.theta * float(np.vdot(Xd, Xd)) + 0.5 * hp.beta * float(np.vdot(Q, Q))
 
     def evaluate(self, W: np.ndarray):
         G = W.T @ W  # symmetric, so <G, M^T> = <G, M>
@@ -287,18 +287,24 @@ def _retract(W: np.ndarray, direction: np.ndarray, tau: float):
     return A / norms
 
 
-def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
+def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams,
+             trace: list | None = None) -> Dictionary:
     """Dictionary update: projected-gradient descent on the product of
     spheres with the short Barzilai-Borwein step |s^T y| / y^T y and
     nonmonotone backtracking (reference value = max of the last five
-    accepted objectives). It stops after w_iters steps or once the
-    projected gradient's norm falls below 1e-6.
+    accepted objectives). It stops after w_iters steps, once the
+    projected gradient's norm falls below 1e-6, or after an accepted step
+    that lowered the best value so far by less than 1e-6 |f_new| (an
+    inexact subproblem solve, as ADMM allows). Up to that stop its
+    iterates are those of the run to the w_iters cap.
 
     The objective never exceeds its input value plus the nonmonotone
     allowance (MonotonicityViolated otherwise). If backtracking exhausts
     its budget the update stops where it is and emits a LineSearchFailed
     warning; progress already accepted is kept, so a first-step failure
     returns the input dictionary renormalized (equal to it within 1e-15).
+    When trace is a list it receives the input value and each accepted
+    step's value.
     """
     P = _WSubproblem(X.data, state.Z.data, state.Q, state.Y, hp)
     W = state.W.data
@@ -335,11 +341,16 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> Dictionary:
         else:
             tau = t
         W = W_new
+        gain = min(hist) - f_new
         hist.append(f_new)
+        if gain < 1e-6 * abs(f_new):
+            break
         pg = pg_new
         pg_sq = float((pg * pg).sum())
     if hist[-1] > hist[0] + 1e-10 * max(1.0, abs(hist[0])):
         raise MonotonicityViolated(f"dictionary step ascended: {hist[0]} -> {hist[-1]}")
+    if trace is not None:
+        trace.extend(hist)
     return normalize_columns(W)
 
 
@@ -364,19 +375,20 @@ def train(X: DataMatrix, hp: Hyperparams, seed):
     below primal_tol * sqrt(m N). Deterministic given (X, hp, seed).
     Each history record carries the Lagrangian value, primal residual,
     worst column-norm deviation, reconstruction error, the round's code
-    step count (iht_steps), the ms each update took (z_ms, q_ms, w_ms,
-    y_ms) and the round's wall time (wall_ms, which adds the diagnostics).
+    and dictionary step counts (iht_steps, w_steps), the ms each update
+    took (z_ms, q_ms, w_ms, y_ms) and the round's wall time (wall_ms, which
+    adds the diagnostics).
     """
     state = init_state(X, hp, seed)
     stop = hp.primal_tol * math.sqrt(hp.m * X.N)
     for it in range(hp.outer_iters):
-        iht_trace = []
+        iht_trace, w_trace = [], []
         stamps = [time.perf_counter()]
         state.Z = update_Z(state, X, hp, trace=iht_trace)
         stamps.append(time.perf_counter())
         state.Q = update_Q(state, X, hp)
         stamps.append(time.perf_counter())
-        state.W = update_W(state, X, hp)
+        state.W = update_W(state, X, hp, trace=w_trace)
         stamps.append(time.perf_counter())
         state.Y = update_Y(state, X, hp)
         stamps.append(time.perf_counter())
@@ -391,6 +403,7 @@ def train(X: DataMatrix, hp: Hyperparams, seed):
                 "max_colnorm_dev": float(np.max(np.abs(colnorms - 1.0))),
                 "recon_error": recon,
                 "iht_steps": len(iht_trace) - 1,
+                "w_steps": len(w_trace) - 1,
                 **{f"{u}_ms": (b - a) * 1e3 for u, a, b in zip("zqwy", stamps, stamps[1:])},
                 "wall_ms": (time.perf_counter() - stamps[0]) * 1e3,
             }

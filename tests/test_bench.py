@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from dltf import baselines, bench, cli, core, encoder, trainer
+from dltf import baselines, bench, cli, core, encoder, guarantees, trainer
 from dltf.errors import InvalidK
 
 
@@ -141,6 +141,31 @@ def test_bench_report_structure():
     assert "init_coherence" in by_method["dltf"]
     assert by_method["dltf"]["rounds"] == cfg.dltf_outer_iters
     assert by_method["dltf"]["iht_steps"] >= cfg.dltf_outer_iters
+    assert 0 <= by_method["dltf"]["w_steps"] <= cfg.dltf_outer_iters * 30
+
+
+def test_bench_init_coherence_is_the_trainers_start(monkeypatch):
+    # the dltf cell reports the coherence of init_state's dictionary, drawn
+    # again with core.random_dictionary instead of a second init_state call
+    cfg = tiny_config(methods=("dltf",))
+    k, seed = cfg.k_list[0], cfg.seeds[0]
+    dltf_seed = bench._cell_seed_int(seed, bench._STREAM_DLTF, k)
+    X = core.DataMatrix(np.random.default_rng(3).standard_normal((cfg.n, 50)))
+    hp = trainer.Hyperparams(m=cfg.m, k=k)
+    drawn = core.random_dictionary(cfg.n, cfg.m, dltf_seed).data
+    assert drawn.tobytes() == trainer.init_state(X, hp, dltf_seed).W.data.tobytes()
+    starts = []
+    init_state = trainer.init_state
+
+    def recorded(X, hp, seed):
+        state = init_state(X, hp, seed)
+        starts.append(state.W)
+        return state
+
+    monkeypatch.setattr(trainer, "init_state", recorded)
+    cell = bench.run_support_recovery_bench(cfg)["cells"][0]
+    assert len(starts) == 1  # train's own call
+    assert cell["init_coherence"] == guarantees.mutual_coherence(starts[0]).mu
 
 
 def test_bench_noiseless_original_k1_recovers_exactly():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,13 @@ NON_INTEGRAL_K = {
 def test_non_integral_k_is_rejected(call):
     with pytest.raises(TypeError):
         call()
+
+
+def test_hyperparams_fields_are_pinned():
+    # inner-loop stops are inline constants; a new knob needs a reason
+    assert [f.name for f in dataclasses.fields(trainer.Hyperparams)] == [
+        "m", "k", "lam", "theta", "beta", "outer_iters", "iht_iters",
+        "w_iters", "primal_tol"]
 
 
 def test_package_surface():

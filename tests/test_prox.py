@@ -366,11 +366,20 @@ def test_prox_batch_input_errors():
 
 
 def test_k2_norm_sq_sums_over_columns():
+    # a matrix is squared into one contiguous row per column, whatever its
+    # memory layout
     rng = np.random.default_rng(30)
     M = rng.standard_normal((9, 7))
+    strided = np.zeros((9, 14))
+    strided[:, ::2] = M
+    layouts = {"C": np.ascontiguousarray(M), "F": np.asfortranarray(M),
+               "transposed view": np.ascontiguousarray(M.T).T,
+               "strided view": strided[:, ::2]}
     for k in (1, 4, 9):
         per_column = sum(prox.k2_norm_sq(M[:, i], k) for i in range(7))
-        assert abs(prox.k2_norm_sq(M, k) - per_column) <= 1e-12 * per_column
+        for name, A in layouts.items():
+            assert abs(prox.k2_norm_sq(A, k) - per_column) <= 1e-12 * per_column, (name, k)
+            assert np.array_equal(A, M)  # the input is left as it was
     with pytest.raises(InvalidK):
         prox.k2_norm_sq(M, 10)
 

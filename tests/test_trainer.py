@@ -1,5 +1,6 @@
 """Trainer unit tests: update correctness, gradient checks, invariants."""
 
+import math
 import os
 import subprocess
 import sys
@@ -646,6 +647,81 @@ def test_update_w_near_stationary_point_stays_put(monkeypatch):
     assert np.max(np.abs(W_new.data - W.data)) <= 1e-15
 
 
+def _capped_w_values(state, X, hp):
+    """Reference: the dictionary step with no stall stop, run to its
+    w_iters cap (or its gradient stop); the values it accepts."""
+    P = trainer._WSubproblem(X.data, state.Z.data, state.Q, state.Y, hp)
+    W = state.W.data
+    f, g = P.evaluate(W)
+    values = [f]
+    pg = trainer._project_tangent(W, g)
+    pg_sq = float((pg * pg).sum())
+    tau = 1.0 / (1.0 + math.sqrt(pg_sq))
+    for _ in range(hp.w_iters):
+        if math.sqrt(pg_sq) < 1e-6:
+            break
+        ref = max(values[-5:])
+        t = tau
+        for _ in range(20):
+            W_new = trainer._retract(W, pg, t)
+            if W_new is not None:
+                f_new, g_new = P.evaluate(W_new)
+                if f_new <= ref - 1e-4 * t * pg_sq:
+                    break
+            t *= 0.5
+        else:
+            break
+        pg_new = trainer._project_tangent(W_new, g_new)
+        y = pg_new - pg
+        sy = float(((W_new - W) * y).sum())
+        if sy != 0.0 and math.isfinite(sy):
+            tau = min(max(abs(sy) / float((y * y).sum()), 1e-10), 1e10)
+        else:
+            tau = t
+        W, pg = W_new, pg_new
+        values.append(f_new)
+        pg_sq = float((pg * pg).sum())
+    return values
+
+
+def test_update_w_stall_stop_is_a_prefix_of_the_capped_run(monkeypatch):
+    # the stop cuts the capped run short and changes none of its iterates:
+    # every evaluation and accepted value of the stopped run is the capped
+    # run's, bit for bit, up to the first accepted step that lowered the
+    # best value so far by less than 1e-6 |f|, where it stops
+    calls = []
+    evaluate = trainer._WSubproblem.evaluate
+
+    def recorded(self, W):
+        value, grad = evaluate(self, W)
+        calls.append(value.hex())
+        return value, grad
+
+    small_gains = 0
+    for seed in range(3):
+        # a dictionary step after three rounds of training
+        X = bench.generate_synthetic(12, 20, 200, 2, 0.1, seed).X
+        hp = trainer.Hyperparams(m=20, k=2, outer_iters=3)
+        _, state = trainer.train(X, hp, seed=seed)
+        state.Z = trainer.update_Z(state, X, hp)
+        state.Q = trainer.update_Q(state, X, hp)
+        monkeypatch.setattr(trainer._WSubproblem, "evaluate", recorded)
+        trace = []
+        trainer.update_W(state, X, hp, trace=trace)
+        stopped_calls, calls[:] = calls[:], []
+        capped = _capped_w_values(state, X, hp)
+        capped_calls, calls[:] = calls[:], []
+        monkeypatch.undo()
+        stall = next(j for j in range(1, len(capped))
+                     if min(capped[:j]) - capped[j] < 1e-6 * abs(capped[j]))
+        assert stall < hp.w_iters
+        assert [v.hex() for v in trace] == [v.hex() for v in capped[:stall + 1]]
+        assert stopped_calls == capped_calls[:len(stopped_calls)]
+        assert len(stopped_calls) < len(capped_calls)
+        small_gains += 0 < min(capped[:stall]) - capped[stall]
+    assert small_gains >= 1  # a stop on a small decrease, not only on a rise
+
+
 def test_update_w_line_search_failure_warns_and_keeps_the_input(monkeypatch):
     rng = np.random.default_rng(32)
     n, m, N, k = 6, 9, 10, 2
@@ -688,7 +764,7 @@ def test_train_deterministic_and_invariant():
     assert len(s1.history) == 5
     for rec in s1.history:
         for key in ("iteration", "lagrangian", "primal_residual",
-                    "max_colnorm_dev", "recon_error", "iht_steps",
+                    "max_colnorm_dev", "recon_error", "iht_steps", "w_steps",
                     "z_ms", "q_ms", "w_ms", "y_ms", "wall_ms"):
             assert key in rec
         assert rec["max_colnorm_dev"] <= 1e-8
@@ -752,9 +828,10 @@ def test_train_history_counts_iht_steps():
     _, trained = trainer.train(X, hp, seed=4)
     state = trainer.init_state(X, hp, seed=4)
     for rec in trained.history:
-        trace = []
+        trace, w_trace = [], []
         state.Z = trainer.update_Z(state, X, hp, trace=trace)
         state.Q = trainer.update_Q(state, X, hp)
-        state.W = trainer.update_W(state, X, hp)
+        state.W = trainer.update_W(state, X, hp, trace=w_trace)
         state.Y = trainer.update_Y(state, X, hp)
         assert rec["iht_steps"] == len(trace) - 1
+        assert rec["w_steps"] == len(w_trace) - 1 <= hp.w_iters
