@@ -34,9 +34,9 @@ def omp(W: core.Dictionary, x: np.ndarray, k: int) -> OmpResult:
     residual is numerically zero.
     """
     n, m = W.data.shape
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != n:
-        raise DimensionMismatch(f"sample has {x.shape[0]} rows, dictionary has {n}")
+    x = core.as_finite_array(x, "x", (1,))
+    if x.size != n:
+        raise DimensionMismatch(f"sample has {x.size} rows, dictionary has {n}")
     k = check_k(k, m)
 
     picked: list[int] = []
@@ -67,9 +67,7 @@ def omp(W: core.Dictionary, x: np.ndarray, k: int) -> OmpResult:
 
 
 def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
-    """Code every column of X independently with omp."""
-    if X.data.shape[0] != W.data.shape[0]:
-        raise DimensionMismatch("data rows do not match dictionary rows")
+    """Code every column of X independently with omp (which checks the rows)."""
     m = W.data.shape[1]
     Z = np.zeros((m, X.data.shape[1]))
     for i in range(X.data.shape[1]):
@@ -166,9 +164,9 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
     Each sweep recodes X with omp_gram (the codes of omp_batch, computed in
     lockstep), then updates atoms one at a time by the dominant singular
     pair of the residual restricted to the samples using that atom. Unused
-    atoms are replaced by the sample worst represented at the start of the
-    sweep (each sample claimed at most once per sweep). ValueError unless
-    iters is at least 1.
+    atoms take the samples worst represented at the start of the sweep, in
+    order, each once (the worst again once all are taken). ValueError
+    unless iters is at least 1.
     """
     n = X.data.shape[0]
     k = check_k(k, m)
@@ -179,16 +177,13 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
         Z = omp_gram(core.Dictionary(W), X, k)
         E = X.data - W @ Z
         order = np.argsort(-np.einsum("ij,ij->j", E, E))
-        claimed: set[int] = set()
+        reseeds = 0
         for j in range(m):
             uses = np.flatnonzero(Z[j])
             if uses.size == 0:
-                # dedup reseed targets within a sweep; with more dead atoms
-                # than samples, fall back to the worst sample
-                pick = next((int(i) for i in order if int(i) not in claimed),
-                            int(order[0]))
-                claimed.add(pick)
-                col = X.data[:, pick]
+                # the next worst sample, or the worst once every one is taken
+                col = X.data[:, order[reseeds] if reseeds < order.size else order[0]]
+                reseeds += 1
                 nrm = np.linalg.norm(col)
                 if nrm > 1e-12:
                     W[:, j] = col / nrm

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DataMatrix, Dictionary
+from .core import DataMatrix, Dictionary, as_finite_array
 from .errors import DimensionMismatch, check_k
 
 _BLOCK = 200  # columns per selection block: 1600-byte rows
 
 
 def max_k_columns(M: np.ndarray, k: int) -> np.ndarray:
-    """Apply the top-k magnitude threshold to every column of M."""
+    """Apply the top-k magnitude threshold to every column of M, which must be finite."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise DimensionMismatch(f"expected 2-d array, got shape {M.shape}")
@@ -58,9 +58,7 @@ def max_k(v: np.ndarray, k: int) -> np.ndarray:
     Exactly min(k, nnz(v)) entries survive with their original signed
     values (selected exact zeros contribute nothing to the support).
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected 1-d array, got shape {v.shape}")
+    v = as_finite_array(v, "v", (1,))
     return max_k_columns(v[:, None], k)[:, 0]
 
 
@@ -68,7 +66,6 @@ def encode_batch(W: Dictionary, X: DataMatrix, k: int) -> np.ndarray:
     """Thresholded features for every column of X, as an m x N matrix."""
     if W.n != X.n:
         raise DimensionMismatch(f"dictionary has n={W.n}, data has n={X.n}")
-    check_k(k, W.m)
     return max_k_columns(W.data.T @ X.data, k)
 
 
@@ -79,11 +76,9 @@ def ave_dif(Z_hat: np.ndarray, Z_ref: np.ndarray) -> float:
     the count, and averages over columns. Symmetric in its arguments and
     bounded by max nnz per column; identical supports give 0.
     """
-    Z_hat = np.asarray(Z_hat)
-    Z_ref = np.asarray(Z_ref)
+    Z_hat = as_finite_array(Z_hat, "Z_hat")
+    Z_ref = as_finite_array(Z_ref, "Z_ref")
     if Z_hat.shape != Z_ref.shape:
         raise DimensionMismatch(f"code shapes differ: {Z_hat.shape} vs {Z_ref.shape}")
-    if Z_hat.ndim != 2:
-        raise DimensionMismatch(f"expected 2-d code batches, got shape {Z_hat.shape}")
     mism = (Z_hat != 0) ^ (Z_ref != 0)
     return float(mism.sum()) / (2.0 * Z_hat.shape[1])

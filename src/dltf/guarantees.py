@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Dictionary, gram
+from .core import Dictionary, as_finite_array, gram
 from .errors import (
     AllZeroCode,
     BudgetExceeded,
@@ -69,8 +69,8 @@ def mutual_coherence(W: Dictionary) -> CoherenceReport:
 
 def _noise_correlations(W: Dictionary, e: np.ndarray) -> np.ndarray:
     """W^T e for a length-n noise vector e."""
-    e = np.asarray(e, dtype=np.float64)
-    if e.ndim != 1 or e.size != W.n:
+    e = as_finite_array(e, "e", (1,))
+    if e.size != W.n:
         raise DimensionMismatch(f"noise must be a length-{W.n} vector, got shape {e.shape}")
     return W.data.T @ e
 
@@ -81,8 +81,8 @@ def cross_coherence(W: Dictionary, e: np.ndarray) -> float:
 
 
 def _code_magnitudes(z: np.ndarray, m: int):
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size != m:
+    z = as_finite_array(z, "z", (1,))
+    if z.size != m:
         raise DimensionMismatch(f"code must be a length-{m} vector, got shape {z.shape}")
     mags = np.abs(z[z != 0.0])
     if mags.size == 0:

@@ -29,11 +29,13 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .baselines import solve_on_supports
-from .core import DataMatrix, Dictionary, SparseCodeBatch, normalize_columns, random_dictionary
+from .core import (DataMatrix, Dictionary, SparseCodeBatch, as_finite_array, normalize_columns,
+                   random_dictionary)
 from .encoder import max_k_columns
 from .errors import LineSearchFailed, MonotonicityViolated, check_int, check_k, check_real
 from .prox import k2_norm_sq, prox_k2
@@ -41,9 +43,9 @@ from .prox import k2_norm_sq, prox_k2
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Trainer knobs. beta must be positive; lam, theta and the primal
-    tolerance finite and nonnegative; the iteration counts integers of at
-    least 1."""
+    """Trainer knobs. beta must be positive; lam and theta finite and
+    nonnegative; the iteration counts integers of at least 1. primal_tol,
+    the relative primal-residual stop, is a constant, not a field."""
 
     m: int
     k: int
@@ -53,13 +55,13 @@ class Hyperparams:
     outer_iters: int = 30
     iht_iters: int = 50
     w_iters: int = 30
-    primal_tol: float = 1e-5
+    primal_tol: ClassVar[float] = 1e-5
 
     def __post_init__(self):
         check_int(self.m, "m", least=1)
         check_k(self.k, self.m)
         check_real(self.beta, "beta", positive=True)
-        for name in ("lam", "theta", "primal_tol"):
+        for name in ("lam", "theta"):
             check_real(getattr(self, name), name)
         for name in ("outer_iters", "iht_iters", "w_iters"):
             check_int(getattr(self, name), name, least=1)
@@ -195,10 +197,10 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
 
 def update_Q(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> np.ndarray:
     """Split-variable update: the prox of the squared (2k,2) norm of each
-    column of W^T X - W^T W Z - Y / beta, with gamma = lambda / beta, in
-    one batched call."""
+    column of W^T (X - WZ) - Y / beta, with gamma = lambda / beta, in one
+    batched call."""
     W = state.W.data
-    C = W.T @ X.data - (W.T @ W) @ state.Z.data - state.Y / hp.beta
+    C = W.T @ (X.data - W @ state.Z.data) - state.Y / hp.beta
     return prox_k2(C, hp.kprime, hp.lam / hp.beta)
 
 
@@ -262,15 +264,21 @@ class _WSubproblem:
         return value, grad
 
 
+def _w_evaluate(W, X: DataMatrix, Z, Q, Y, hp: Hyperparams):
+    """_WSubproblem's (value, gradient), every array through as_finite_array."""
+    W, Z, Q, Y = (as_finite_array(a, name) for a, name in zip((W, Z, Q, Y), "WZQY"))
+    return _WSubproblem(X.data, Z, Q, Y, hp).evaluate(W)
+
+
 def w_objective(W, X: DataMatrix, Z, Q, Y, hp: Hyperparams) -> float:
     """Dictionary-step objective at an arbitrary (not necessarily
     unit-norm) W; exposed for derivative checks."""
-    return _WSubproblem(X.data, np.asarray(Z, float), Q, Y, hp).evaluate(np.asarray(W, float))[0]
+    return _w_evaluate(W, X, Z, Q, Y, hp)[0]
 
 
 def w_gradient(W, X: DataMatrix, Z, Q, Y, hp: Hyperparams) -> np.ndarray:
     """Euclidean gradient of w_objective with respect to W."""
-    return _WSubproblem(X.data, np.asarray(Z, float), Q, Y, hp).evaluate(np.asarray(W, float))[1]
+    return _w_evaluate(W, X, Z, Q, Y, hp)[1]
 
 
 def _project_tangent(W: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -357,7 +365,7 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams,
 def update_Y(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> np.ndarray:
     """Dual ascent on the splitting constraint."""
     W = state.W.data
-    return state.Y + hp.beta * (state.Q - W.T @ X.data + (W.T @ W) @ state.Z.data)
+    return state.Y + hp.beta * (state.Q - W.T @ (X.data - W @ state.Z.data))
 
 
 def init_state(X: DataMatrix, hp: Hyperparams, seed) -> TrainerState:

@@ -7,6 +7,7 @@ import pytest
 
 import dltf
 from dltf import baselines, bench, core, encoder, guarantees, prox, trainer
+from dltf.errors import DimensionMismatch
 
 SRC = Path(dltf.__file__).resolve().parent
 
@@ -44,11 +45,67 @@ def test_non_integral_k_is_rejected(call):
         call()
 
 
+def _poison(arr, bad):
+    """A float copy of arr with its second entry set to bad."""
+    arr = np.array(arr, dtype=float)
+    arr.flat[1] = bad
+    return arr
+
+
+def _w_args(poisoned, bad):
+    """w_objective's arguments on the 6 x 8 fixture, with the array named
+    poisoned (W, Z, Q or Y) holding one bad entry."""
+    rng = np.random.default_rng(3)
+    arrays = {"W": _dictionary().data, **{name: rng.standard_normal((8, 5)) for name in "ZQY"}}
+    arrays[poisoned] = _poison(arrays[poisoned], bad)
+    W, Z, Q, Y = (arrays[name] for name in "WZQY")
+    return W, _data(), Z, Q, Y, trainer.Hyperparams(m=8, k=2)
+
+
+# {entry point: (the argument it must name, call with one bad entry)}
+NON_FINITE = {
+    "max_k": ("v", lambda bad: encoder.max_k(_poison([3.0, 0.0, 1.0, -2.0], bad), 2)),
+    "ave_dif-Z_hat": ("Z_hat", lambda bad: encoder.ave_dif(_poison(np.eye(8), bad), np.eye(8))),
+    "ave_dif-Z_ref": ("Z_ref", lambda bad: encoder.ave_dif(np.eye(8), _poison(np.eye(8), bad))),
+    "weak_condition": ("z", lambda bad: guarantees.weak_condition(
+        _dictionary(), _poison(np.zeros(8), bad))),
+    "weak_condition_noisy-z": ("z", lambda bad: guarantees.weak_condition_noisy(
+        _dictionary(), _poison(np.zeros(8), bad), np.zeros(6))),
+    "weak_condition_noisy-e": ("e", lambda bad: guarantees.weak_condition_noisy(
+        _dictionary(), np.eye(8)[1], _poison(np.zeros(6), bad))),
+    "cross_coherence": ("e", lambda bad: guarantees.cross_coherence(
+        _dictionary(), _poison(np.zeros(6), bad))),
+    # unscanned, a code whose one nonzero is infinite reads lhs = rhs = inf: holds
+    "strong_condition-z": ("z", lambda bad: guarantees.strong_condition(
+        _dictionary(), _poison(np.zeros(8), bad), np.zeros(6), 0.01)),
+    "strong_condition-e": ("e", lambda bad: guarantees.strong_condition(
+        _dictionary(), np.eye(8)[1], _poison(np.zeros(6), bad), 0.01)),
+    "strong_norm_lower_bound": ("e", lambda bad: guarantees.strong_norm_lower_bound(
+        0.01, 2, _dictionary(), _poison(np.zeros(6), bad))),
+    "omp": ("x", lambda bad: baselines.omp(_dictionary(), _poison(np.ones(6), bad), 2)),
+    **{f"{fn}-{name}": (name, lambda bad, fn=fn, name=name: getattr(trainer, fn)(
+        *_w_args(name, bad))) for fn in ("w_objective", "w_gradient") for name in "WZQY"},
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", NON_FINITE)
+def test_non_finite_arrays_are_rejected(entry, bad):
+    # every array a caller hands the library goes through core.as_finite_array
+    name, call = NON_FINITE[entry]
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        call(bad)
+
+
+def test_ave_dif_on_an_empty_batch_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        encoder.ave_dif(np.zeros((4, 0)), np.zeros((4, 0)))
+
+
 def test_hyperparams_fields_are_pinned():
     # inner-loop stops are inline constants; a new knob needs a reason
     assert [f.name for f in dataclasses.fields(trainer.Hyperparams)] == [
-        "m", "k", "lam", "theta", "beta", "outer_iters", "iht_iters",
-        "w_iters", "primal_tol"]
+        "m", "k", "lam", "theta", "beta", "outer_iters", "iht_iters", "w_iters"]
 
 
 def test_package_surface():

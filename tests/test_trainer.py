@@ -46,10 +46,10 @@ def test_hyperparams_rejects_non_integral_m():
 
 
 def test_hyperparams_rejects_bad_tolerances_and_counts():
-    nan = float("nan")
-    for bad in (nan, -1e-9, float("inf")):
-        with pytest.raises(ValueError):
-            trainer.Hyperparams(m=8, k=2, primal_tol=bad)
+    for name in ("lam", "theta"):
+        for bad in (float("nan"), -1e-9, float("inf")):
+            with pytest.raises(ValueError, match=f"^{name}=.* must be finite and nonnegative$"):
+                trainer.Hyperparams(m=8, k=2, **{name: bad})
     for name in ("outer_iters", "iht_iters", "w_iters"):
         for bad in (2.5, True):
             with pytest.raises(TypeError, match=f"^{name}={bad} must be an integer$"):
@@ -57,7 +57,7 @@ def test_hyperparams_rejects_bad_tolerances_and_counts():
     for name in ("m", "outer_iters", "iht_iters", "w_iters"):
         with pytest.raises(ValueError, match=f"^{name}=0 must be at least 1$"):
             trainer.Hyperparams(**{"m": 8, "k": 2, name: 0})
-    for name in ("lam", "theta", "beta", "primal_tol"):
+    for name in ("lam", "theta", "beta"):
         for bad in (True, "1", None):
             with pytest.raises(TypeError, match=f"^{name}=.* must be a real number$"):
                 trainer.Hyperparams(m=8, k=2, **{name: bad})
@@ -65,8 +65,10 @@ def test_hyperparams_rejects_bad_tolerances_and_counts():
         trainer.Hyperparams(m=True, k=1)
     with pytest.raises(TypeError, match="^k=True must be an integer$"):
         trainer.Hyperparams(m=8, k=True)
-    hp = trainer.Hyperparams(m=8, k=2, primal_tol=0.0)
-    assert hp.primal_tol == 0.0
+    # the primal stop is a constant of the class, not a knob
+    assert trainer.Hyperparams(m=8, k=2).primal_tol == 1e-5
+    with pytest.raises(TypeError):
+        trainer.Hyperparams(m=8, k=2, primal_tol=0.0)
 
 
 def test_init_state_draws_core_random_dictionary():
@@ -506,7 +508,7 @@ def test_prox_and_update_q_at_zero_weight_return_their_target_bit_for_bit():
     state = _random_state(rng, n, m, N, k)
     X = _data(rng, n, N)
     W = state.W.data
-    target = W.T @ X.data - (W.T @ W) @ state.Z.data - state.Y / hp.beta
+    target = W.T @ (X.data - W @ state.Z.data) - state.Y / hp.beta
     assert trainer.update_Q(state, X, hp).tobytes() == target.tobytes()
 
 
