@@ -201,6 +201,8 @@ def dictionary_from_json(obj: dict) -> Dictionary:
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"JSON dictionary field {exc}") from None
     flat = np.asarray(flat, dtype=np.float64)
+    if flat.ndim != 1:
+        raise FileFormatError(f"JSON dictionary data must be a flat list, got shape {flat.shape}")
     if flat.size != n * m:
         raise DimensionMismatch(f"JSON dictionary promises {n}x{m}, data has {flat.size} entries")
     return Dictionary(flat.reshape((n, m), order="C"))

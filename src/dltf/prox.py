@@ -37,6 +37,13 @@ count is then the full sort's too. A column whose v falls below the
 slice's smallest entry, the only case in which an excluded entry could
 pool, goes back through the full sort. A column that does not fall back
 costs O(m + (k'+8) log(k'+8)).
+
+A full-sort solve peaks at about 5.3 float64 words of working memory
+per entry (tracemalloc, m = 10^5 and 10^6): the magnitudes, their sort
+order and the sorted copy, plus two arrays along the merged order and
+two masks. The merge order is dropped once the merged values are
+gathered, and the prefix sums run in the buffers of their steps: W in
+its own, P in the merged values' once x_t W_t is formed.
 """
 
 from __future__ import annotations
@@ -75,35 +82,39 @@ def _solve_sorted(S: np.ndarray, p: int, g: float) -> np.ndarray:
     S[:, p:] /= g
     if p == 0:
         return np.zeros(N, dtype=np.intp)
-    rows = np.arange(N)
     order = S.argsort(axis=1, kind="stable")  # merges the two sorted runs
     right = order >= p
-    x = S[rows[:, None], order]
+    x = S[np.arange(N)[:, None], order]
+    del order
     # Along the merged breakpoints x_t, W_t = #(left entries after t)
     # + g #(right entries up to t) and P_t = the matching weighted sum of
     # targets, so phi(x_t) = P_t - x_t W_t, and phi(v) = P_t - v W_t up to
     # the next breakpoint. The cumulative sums start from W = p, P = the
-    # left total.
-    step = np.where(right, g, -1.0)
-    weighted = step * x
-    step[:, 0] += p
-    weighted[:, 0] += S[:, :p].sum(axis=1)
-    W = step.cumsum(axis=1)
-    P = weighted.cumsum(axis=1)
-    x *= W
-    positive = x < P  # phi > 0: a prefix of the merged order
+    # left total, and run in the buffers of their steps: W's own, then
+    # x's once x_t W_t is formed.
+    W = np.where(right, g, -1.0)
+    W[:, 0] += p
+    np.cumsum(W, axis=1, out=W)
+    xW = np.multiply(x, W, out=W)
+    P = np.negative(x, out=x)  # P's steps: -x_t on the left, g x_t on the right
+    np.multiply(P, -g, out=P, where=right)
+    P[:, 0] += S[:, :p].sum(axis=1)
+    np.cumsum(P, axis=1, out=P)
+    positive = xW < P  # phi > 0: a prefix of the merged order
+    del x, P
     count = positive.sum(axis=1)
     # The block is the left entries at or after position `count` and the
     # right entries before it: S[:, p - n_left : p + n_right].
     positive &= right
     n_right = positive.sum(axis=1)
+    del positive, right
     n_left = p - count + n_right
     overlap = S[:, p - 1] > S[:, p]  # else nothing pools and v = c_{p-1}
     # v is the block's weighted mean, summed over the block alone: P and W
     # carry the whole left run, whose rounding would grow with m.
     cols = np.arange(m)
     inblock = (cols >= (p - n_left)[:, None]) & (cols < (p + n_right)[:, None])
-    block = np.multiply(S, inblock, out=x)  # x is no longer needed
+    block = np.multiply(S, inblock, out=xW)  # xW is no longer needed
     block[:, p:] *= g
     v = S[:, p - 1].copy()
     np.divide(block.sum(axis=1), n_left + g * n_right, out=v, where=overlap)

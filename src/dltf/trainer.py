@@ -37,7 +37,8 @@ from .baselines import solve_on_supports
 from .core import (DataMatrix, Dictionary, SparseCodeBatch, as_finite_array, normalize_columns,
                    random_dictionary)
 from .encoder import max_k_columns
-from .errors import LineSearchFailed, MonotonicityViolated, check_int, check_k, check_real
+from .errors import (DimensionMismatch, LineSearchFailed, MonotonicityViolated, check_int, check_k,
+                     check_real)
 from .prox import k2_norm_sq, prox_k2
 
 
@@ -265,8 +266,15 @@ class _WSubproblem:
 
 
 def _w_evaluate(W, X: DataMatrix, Z, Q, Y, hp: Hyperparams):
-    """_WSubproblem's (value, gradient), every array through as_finite_array."""
+    """_WSubproblem's (value, gradient), every array through as_finite_array
+    and Z, Q and Y checked to be m x N for W's m atoms and X's N samples."""
     W, Z, Q, Y = (as_finite_array(a, name) for a, name in zip((W, Z, Q, Y), "WZQY"))
+    if W.shape[0] != X.n:
+        raise DimensionMismatch(f"W has {W.shape[0]} rows, X has {X.n}")
+    shape = (W.shape[1], X.N)
+    for arr, name in zip((Z, Q, Y), "ZQY"):
+        if arr.shape != shape:
+            raise DimensionMismatch(f"{name} must be {shape[0]}x{shape[1]}, got shape {arr.shape}")
     return _WSubproblem(X.data, Z, Q, Y, hp).evaluate(W)
 
 

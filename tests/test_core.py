@@ -128,6 +128,15 @@ def test_json_roundtrip_row_major(tmp_path):
     assert np.array_equal(W3.data, W.data)
 
 
+@pytest.mark.parametrize("n, m, data", [
+    (2, 2, [[1, 0], [0, 1]]), (2, 2, [[1, 0, 0, 1]]), (1, 1, 1.0),
+])
+def test_json_data_must_be_a_flat_list(n, m, data):
+    # a nested list of the right size would otherwise be reshaped silently
+    with pytest.raises(FileFormatError, match="data must be a flat list"):
+        core.dictionary_from_json({"n": n, "m": m, "data": data})
+
+
 def test_json_missing_field():
     with pytest.raises(FileFormatError):
         core.dictionary_from_json({"n": 2, "data": [1.0, 0.0]})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,21 @@ def test_prox_k2_full_k_uniform_shrink():
     c = rng.standard_normal(7)
     for gamma in (0.1, 1.0, 10.0):
         assert np.allclose(prox.prox_k2(c, 7, gamma), c / (1.0 + gamma), atol=1e-15)
+
+
+def test_prox_working_memory():
+    # a 1e5-entry prox on the full-sort path peaks at about 5.4 float64
+    # words per entry; holding the prefix sums apart from their steps
+    # again would take it past the bound
+    m = 10**5
+    c = np.random.default_rng(31).standard_normal(m)
+    tracemalloc.start()
+    try:
+        prox.prox_k2(c, m // 4, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 8 * m
 
 
 def test_prox_objective_endpoints():

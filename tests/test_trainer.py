@@ -12,7 +12,8 @@ import pytest
 import dltf
 from dltf import baselines, bench, cli, core, encoder, guarantees, prox, trainer
 from dltf.core import DataMatrix, Dictionary, SparseCodeBatch
-from dltf.errors import InvalidK, LineSearchFailed, MonotonicityViolated, SingularSubproblem
+from dltf.errors import (DimensionMismatch, InvalidK, LineSearchFailed, MonotonicityViolated,
+                         SingularSubproblem)
 
 
 def _random_state(rng, n, m, N, k, hp=None):
@@ -535,6 +536,23 @@ def test_w_gradient_matches_finite_differences():
             rel = abs(fd - an) / max(1.0, abs(fd))
             worst = max(worst, rel)
     assert worst <= 1e-5
+
+
+@pytest.mark.parametrize("fn", ["w_objective", "w_gradient"])
+@pytest.mark.parametrize("name, shape", [
+    ("Z", (8, 4)), ("Q", (8, 1)), ("Q", (5, 8)), ("Y", (8, 1)), ("Y", (1, 5)), ("W", (7, 8)),
+])
+def test_w_objective_rejects_mis_shaped_arrays(fn, name, shape):
+    # on this 6 x 8 fixture with 5 samples, a Y of shape (8, 1) used to
+    # broadcast against Z and return a wrong value with no error
+    rng = np.random.default_rng(3)
+    hp = trainer.Hyperparams(m=8, k=2)
+    state = _random_state(rng, 6, 8, 5, 2)
+    X = _data(rng, 6, 5)
+    args = {"W": state.W.data, "Z": state.Z.data, "Q": state.Q, "Y": state.Y}
+    args[name] = rng.standard_normal(shape)
+    with pytest.raises(DimensionMismatch, match=f"^{name} "):
+        getattr(trainer, fn)(args["W"], X, args["Z"], args["Q"], args["Y"], hp)
 
 
 def test_w_objective_is_the_lagrangian_w_part():
