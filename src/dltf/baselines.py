@@ -39,31 +39,34 @@ def omp(W: core.Dictionary, x: np.ndarray, k: int) -> OmpResult:
         raise DimensionMismatch(f"sample has {x.size} rows, dictionary has {n}")
     k = check_k(k, m)
 
-    picked: list[int] = []
+    Wd = W.data
+    picked = np.empty(k, dtype=np.intp)
+    ridge = RIDGE * np.eye(k)
     residual = x.copy()
     coef = np.zeros(0)
-    for _ in range(k):
+    j = 0
+    while j < k:
         rnorm = math.sqrt(residual.dot(residual))  # np.linalg.norm's formula
         if rnorm < RESIDUAL_FLOOR:
             break
-        corr = np.abs(W.data.T @ residual)
-        corr[picked] = -1.0
-        picked.append(int(np.argmax(corr)))
-        S = W.data[:, picked]
+        corr = np.abs(Wd.T @ residual)
+        corr[picked[:j]] = -1.0
+        picked[j] = corr.argmax()
+        j += 1
+        S = Wd[:, picked[:j]]
         # normal equations with a tiny ridge; S has at most k <= m columns
-        A = S.T @ S + RIDGE * np.eye(len(picked))
         try:
-            coef = np.linalg.solve(A, S.T @ x)
+            coef = np.linalg.solve(S.T @ S + ridge[:j, :j], S.T @ x)
         except np.linalg.LinAlgError as exc:
             raise SingularSubproblem(
-                f"normal equations singular with atoms {picked}"
+                f"normal equations singular with atoms {picked[:j].tolist()}"
             ) from exc
         residual = x - S @ coef
 
     code = np.zeros(m)
-    code[picked] = coef
+    code[picked[:j]] = coef
     return OmpResult(code=code, residual_norm=math.sqrt(residual.dot(residual)),
-                     atoms=tuple(picked))
+                     atoms=tuple(picked[:j].tolist()))
 
 
 def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
@@ -92,11 +95,25 @@ def omp_gram(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
     """Code every column of X as omp_batch does, with all samples in
     lockstep (Batch OMP, Rubinstein, Zibulevsky & Elad 2008).
 
-    G = WᵀW and C = WᵀX are formed once. Each step takes the correlations
-    of every live sample from one product with G, masks the atoms a sample
-    has picked, and refits all live samples by one stacked solve of their
-    normal equations on G. A sample leaves once its explicit residual is
-    below omp's floor, so supports and stops are omp's.
+    Samples are rows: G = WᵀW and C = XᵀW are formed once, and the codes
+    are N x m; the m x N result is their transposed view. Each step makes
+    one product ZG into a reused buffer and forms |C − ZG| in it; argmax
+    along each row picks the next atom (the sample's picked atoms masked
+    by index, the lowest index winning ties). Each sample keeps the
+    Cholesky factor L of G_SS + RIDGE·I and grows it by one row per step:
+    w = L⁻¹G_Sa by forward substitution, vectorized over the samples, and
+    the pivot √(G_aa + RIDGE − wᵀw); a pivot that is not positive and
+    finite raises SingularSubproblem. The coefficients then take two
+    triangular sweeps, forward (one new entry per step) and backward.
+
+    A sample leaves once its explicit residual ‖x − Wz‖ is below omp's
+    floor, so supports and stops are omp's. The residual is formed only
+    for samples whose Gram form ‖x‖² − 2zᵀc + zᵀ(Gz), read from the same
+    product, is below RESIDUAL_FLOOR² + 1e-8·(‖x‖ + ‖z‖₁)². With unit-norm
+    atoms every term of the form is at most (‖x‖ + ‖z‖₁)², so on n rows
+    its rounding is below about n·10⁻¹⁶·(‖x‖ + ‖z‖₁)², some 10⁶ times
+    less than the margin at n = 64, and no sample the floor would stop
+    is screened out.
     """
     Wd, Xd = W.data, X.data
     if Xd.shape[0] != Wd.shape[0]:
@@ -106,31 +123,67 @@ def omp_gram(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
 
     G = Wd.T @ Wd
     N = Xd.shape[1]
-    Z = np.zeros((m, N))
-    # live samples' data, correlations, codes and picked atoms, compacted
-    # whenever a sample stops
-    live, Xl, Cl, Zl = np.arange(N), Xd, Wd.T @ Xd, np.zeros((m, N))
-    picked = np.zeros((N, k), dtype=np.intp)
+    Z = np.zeros((N, m))
+    P = np.empty((N, m))  # ZG, then |C − ZG|
+    xx = np.einsum("ij,ij->j", Xd, Xd)
+    # the live samples' rows: indices, correlations, codes, product buffer,
+    # picks, factors, forward-substituted right-hand sides and squared data
+    # norms, compacted when a sample stops
+    live, C, Zl = np.arange(N), Xd.T @ Wd, Z
+    picked = np.zeros((k, N), dtype=np.intp)
+    L = np.zeros((k, k, N))
+    y = np.zeros((k, N))
+    coef = np.zeros((0, N))
+    rows = np.arange(N)  # positions in the live arrays
     for j in range(k):
-        stop = np.linalg.norm(Xl - Wd @ Zl, axis=0) < RESIDUAL_FLOOR
-        if stop.any():
-            Z[:, live[stop]] = Zl[:, stop]
-            keep = ~stop
-            live, Xl, Cl, Zl, picked = (live[keep], Xl[:, keep], Cl[:, keep],
-                                        Zl[:, keep], picked[keep])
-            if live.size == 0:
-                break
-        cols = np.arange(live.size)
-        corr = G @ Zl
-        np.subtract(Cl, corr, out=corr)
-        np.abs(corr, out=corr)
+        if j:
+            np.matmul(Zl, G, out=P)
+            S = picked[:j]
+            gram = (xx - 2.0 * np.einsum("sn,sn->n", coef, C[rows, S])
+                    + np.einsum("sn,sn->n", coef, P[rows, S]))
+            scale = np.sqrt(xx) + np.abs(coef).sum(axis=0)
+        else:
+            gram, scale = xx, np.sqrt(xx)
+        near = np.flatnonzero(gram < RESIDUAL_FLOOR**2 + 1e-8 * scale**2)
+        if near.size:
+            rnorm = np.linalg.norm(Xd[:, live[near]] - Wd @ Zl[near].T, axis=0)
+            stop = near[rnorm < RESIDUAL_FLOOR]
+            if stop.size:
+                Z[live[stop]] = Zl[stop]
+                keep = np.ones(live.size, dtype=bool)
+                keep[stop] = False
+                live, C, Zl, P, picked, L, y, coef, xx = (
+                    live[keep], C[keep], Zl[keep], P[keep], picked[:, keep],
+                    L[:, :, keep], y[:, keep], coef[:, keep], xx[keep])
+                if live.size == 0:
+                    return Z.T
+                rows = np.arange(live.size)
+        S = picked[:j]
+        if j:
+            np.subtract(C, P, out=P)
+            np.abs(P, out=P)
+        else:
+            np.abs(C, out=P)
         # mask by picked index: a picked atom may have a zero coefficient
-        corr[picked[:, :j].T, cols] = -1.0
-        picked[:, j] = np.argmax(corr, axis=0)
-        S = picked[:, :j + 1]
-        Zl[S, cols[:, None]] = solve_on_supports(G, S, Cl[S, cols[:, None]])
-    Z[:, live] = Zl
-    return Z
+        P[rows, S] = -1.0
+        a = P.argmax(axis=1)
+        picked[j] = a
+        g, w = G[S, a], L[j, :j]
+        for i in range(j):
+            w[i] = (g[i] - np.einsum("ln,ln->n", L[i, :i], w[:i])) / L[i, i]
+        pivot = G[a, a] + RIDGE - np.einsum("ln,ln->n", w, w)
+        if not np.all(np.isfinite(pivot) & (pivot > 0.0)):
+            raise SingularSubproblem(
+                f"normal equations singular on a support of size {j + 1}")
+        L[j, j] = np.sqrt(pivot)
+        y[j] = (C[rows, a] - np.einsum("ln,ln->n", w, y[:j])) / L[j, j]
+        coef = np.empty((j + 1, live.size))
+        for i in range(j, -1, -1):
+            coef[i] = (y[i] - np.einsum("ln,ln->n", L[i + 1:j + 1, i], coef[i + 1:])) / L[i, i]
+        Zl[rows, picked[:j + 1]] = coef
+    if Zl is not Z:
+        Z[live] = Zl
+    return Z.T
 
 
 def _dominant_pair(R: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +216,10 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
 
     Each sweep recodes X with omp_gram (the codes of omp_batch, computed in
     lockstep), then updates atoms one at a time by the dominant singular
-    pair of the residual restricted to the samples using that atom. Unused
+    pair of the residual restricted to the samples using that atom. Codes
+    and residual keep samples as rows: an atom's update gathers the rows
+    of its samples into a contiguous n x uses block and scatters the
+    updated block back. Unused
     atoms take the samples worst represented at the start of the sweep, in
     order, each once (the worst again once all are taken). ValueError
     unless iters is at least 1.
@@ -173,13 +229,21 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
     check_int(iters, "iters", least=1)
     W = core.random_dictionary(n, m, seed).data.copy()
 
+    Xt = X.data.T
     for _ in range(iters):
-        Z = omp_gram(core.Dictionary(W), X, k)
-        E = X.data - W @ Z
-        order = np.argsort(-np.einsum("ij,ij->j", E, E))
+        # codes and residual with samples as rows
+        Z = omp_gram(core.Dictionary(W), X, k).T
+        E = Z @ W.T
+        np.subtract(Xt, E, out=E)
+        order = np.argsort(-np.einsum("ij,ij->i", E, E))
+        # the samples each atom uses, ascending, grouped by atom
+        samples, atoms = np.nonzero(Z)
+        users = samples[np.argsort(atoms, kind="stable")]
+        bounds = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(np.bincount(atoms, minlength=m), out=bounds[1:])
         reseeds = 0
         for j in range(m):
-            uses = np.flatnonzero(Z[j])
+            uses = users[bounds[j]:bounds[j + 1]]
             if uses.size == 0:
                 # the next worst sample, or the worst once every one is taken
                 col = X.data[:, order[reseeds] if reseeds < order.size else order[0]]
@@ -188,13 +252,14 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
                 if nrm > 1e-12:
                     W[:, j] = col / nrm
                 continue
-            # residual block with atom j's contribution restored
-            Rj = E[:, uses] + W[:, j, None] * Z[j, uses]
+            # residual block (n x uses, contiguous) with atom j's
+            # contribution restored; the sweep reads no code of atom j again
+            Rj = E[uses].T.copy()
+            Rj += W[:, j, None] * Z[uses, j]
             u, sv = _dominant_pair(Rj, W[:, j])
             nz = np.flatnonzero(u)
             if nz.size and u[nz[0]] < 0:
                 u, sv = -u, -sv
             W[:, j] = u
-            Z[j, uses] = sv
-            E[:, uses] = Rj - u[:, None] * sv
+            E[uses] = (Rj - u[:, None] * sv).T
     return core.normalize_columns(W)

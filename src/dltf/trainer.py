@@ -89,8 +89,10 @@ def lagrangian_value(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> flo
     """Augmented Lagrangian at the current state."""
     W = state.W.data
     Z = state.Z.data
-    resid = X.data - W @ Z
-    R = state.Q - W.T @ resid
+    resid = W @ Z
+    np.subtract(X.data, resid, out=resid)
+    R = W.T @ resid
+    np.subtract(state.Q, R, out=R)
     G = W.T @ W
     gram_dev = G - np.eye(hp.m)
     return (
@@ -105,7 +107,10 @@ def lagrangian_value(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> flo
 def primal_residual(state: TrainerState, X: DataMatrix) -> float:
     """Frobenius norm of Q - W^T (X - WZ)."""
     W = state.W.data
-    R = state.Q - W.T @ (X.data - W @ state.Z.data)
+    resid = W @ state.Z.data
+    np.subtract(X.data, resid, out=resid)
+    R = W.T @ resid
+    np.subtract(state.Q, R, out=R)
     return float(np.linalg.norm(R))
 
 
@@ -410,7 +415,9 @@ def train(X: DataMatrix, hp: Hyperparams, seed):
         stamps.append(time.perf_counter())
         primal = primal_residual(state, X)
         colnorms = np.linalg.norm(state.W.data, axis=0)
-        recon = float(np.linalg.norm(X.data - state.W.data @ state.Z.data))
+        resid = state.W.data @ state.Z.data
+        np.subtract(X.data, resid, out=resid)
+        recon = float(np.linalg.norm(resid))
         state.history.append(
             {
                 "iteration": it + 1,

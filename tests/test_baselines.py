@@ -218,13 +218,43 @@ def test_omp_gram_validation():
 
 
 def test_omp_gram_singular_solve_raises(monkeypatch):
-    def singular(A, b):
-        raise np.linalg.LinAlgError("Singular matrix")
-
+    # a negative ridge makes the first pivot of every unit-norm atom
+    # negative; with no ridge, the last step of the second sample below
+    # picks atom 4, a copy of its picked atom 1, and the pivot is exactly 0
     W = core.random_dictionary(8, 12, seed=3)
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(baselines, "RIDGE", -2.0)
     with pytest.raises(SingularSubproblem):
         baselines.omp_gram(W, DataMatrix(np.ones((8, 2))), 2)
+    E = np.eye(5)
+    W = core.Dictionary(np.column_stack([E[0], E[1], E[2], E[3], E[1]]))
+    X = DataMatrix(np.column_stack([2.0 * E[1], E[0] + E[4]]))
+    monkeypatch.setattr(baselines, "RIDGE", 0.0)
+    baselines.omp_gram(W, X, 4)
+    with pytest.raises(SingularSubproblem):
+        baselines.omp_gram(W, X, 5)
+
+
+def test_omp_gram_residual_screen_keeps_omp_stops():
+    # exactly s-sparse samples, s = 1..8, coded at k = 8: the explicit
+    # residual stops them after s steps at scales 1e-6 and 1, and at 1e6
+    # its rounding stays above the floor; the Gram-form screen must pass
+    # every sample the floor stops, at each scale
+    W = core.random_dictionary(64, 128, seed=12)
+    rng = np.random.default_rng(52)
+    sparsity = np.repeat(np.arange(1, 9), 3)
+    for scale in (1e-6, 1.0, 1e6):
+        cols = []
+        for s in sparsity:
+            z = np.zeros(128)
+            z[rng.choice(128, s, replace=False)] = rng.uniform(0.5, 2.0, s) * rng.choice([-1, 1], s)
+            cols.append(W.data @ (scale * z))
+        X = DataMatrix(np.column_stack(cols))
+        Zb = baselines.omp_batch(W, X, 8)
+        Zg = baselines.omp_gram(W, X, 8)
+        assert np.array_equal(Zg != 0, Zb != 0)
+        assert np.max(np.abs(Zg - Zb)) <= 1e-12 * scale
+        steps = [len(baselines.omp(W, x, 8).atoms) for x in X.data.T]
+        assert steps == (sparsity.tolist() if scale < 1e6 else [8] * sparsity.size)
 
 
 def test_solve_on_supports_matches_per_column_solves():
