@@ -1,7 +1,11 @@
 """Reference methods the benchmark compares against.
 
-Provides orthogonal matching pursuit for per-sample sparse coding and a
-K-SVD dictionary learner whose codes come from OMP.
+Provides orthogonal matching pursuit in two forms. `omp` codes one
+sample; it is the per-sample baseline that criterion 7 and `dltf timing`
+time. `omp_batch` gives every column of a batch the code omp would, with
+all samples in lockstep (Batch OMP), and is K-SVD's coder. Also the
+stacked least-squares solve on given supports, `solve_on_supports`, that
+the trainer's code step (hard thresholding pursuit) makes.
 """
 
 from __future__ import annotations
@@ -69,15 +73,6 @@ def omp(W: core.Dictionary, x: np.ndarray, k: int) -> OmpResult:
                      atoms=tuple(picked[:j].tolist()))
 
 
-def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
-    """Code every column of X independently with omp (which checks the rows)."""
-    m = W.data.shape[1]
-    Z = np.zeros((m, X.data.shape[1]))
-    for i in range(X.data.shape[1]):
-        Z[:, i] = omp(W, X.data[:, i], k).code
-    return Z
-
-
 def solve_on_supports(M: np.ndarray, S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (M_SS + RIDGE I) x = r for all N columns in one stacked solve,
     with column i's support S and right-hand side r in row i of S and rhs
@@ -91,8 +86,8 @@ def solve_on_supports(M: np.ndarray, S: np.ndarray, rhs: np.ndarray) -> np.ndarr
             f"normal equations singular on a support of size {S.shape[1]}") from exc
 
 
-def omp_gram(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
-    """Code every column of X as omp_batch does, with all samples in
+def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
+    """Code every column of X as omp codes it alone, with all samples in
     lockstep (Batch OMP, Rubinstein, Zibulevsky & Elad 2008).
 
     Samples are rows: G = WᵀW and C = XᵀW are formed once, and the codes
@@ -214,15 +209,14 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
                seed: int = 0) -> core.Dictionary:
     """K-SVD dictionary learning with OMP sparse coding.
 
-    Each sweep recodes X with omp_gram (the codes of omp_batch, computed in
-    lockstep), then updates atoms one at a time by the dominant singular
-    pair of the residual restricted to the samples using that atom. Codes
-    and residual keep samples as rows: an atom's update gathers the rows
-    of its samples into a contiguous n x uses block and scatters the
-    updated block back. Unused
-    atoms take the samples worst represented at the start of the sweep, in
-    order, each once (the worst again once all are taken). ValueError
-    unless iters is at least 1.
+    Each sweep recodes X with omp_batch, then updates atoms one at a time
+    by the dominant singular pair of the residual restricted to the
+    samples using that atom. Codes and residual keep samples as rows: an
+    atom's update gathers the rows of its samples into a contiguous
+    n x uses block and scatters the updated block back. Unused atoms take
+    the samples worst represented at the start of the sweep, in order,
+    each once (the worst again once all are taken). ValueError unless
+    iters is at least 1.
     """
     n = X.data.shape[0]
     k = check_k(k, m)
@@ -232,7 +226,7 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
     Xt = X.data.T
     for _ in range(iters):
         # codes and residual with samples as rows
-        Z = omp_gram(core.Dictionary(W), X, k).T
+        Z = omp_batch(core.Dictionary(W), X, k).T
         E = Z @ W.T
         np.subtract(Xt, E, out=E)
         order = np.argsort(-np.einsum("ij,ij->i", E, E))

@@ -256,8 +256,8 @@ ENCODE_REPEATS = 5
 
 def timing_compare(cfg: BenchConfig, k: int | None = None) -> dict:
     """Wall-clock for one batched thresholded encode versus per-sample OMP
-    on the same test set. Reports the ratio; absolute numbers are
-    hardware-specific.
+    (one baselines.omp call per test column) on the same test set.
+    Reports the ratio; absolute numbers are hardware-specific.
 
     The encode time is the median of ENCODE_REPEATS calls made after one
     untimed warm-up call, so first-call costs do not count against it.
@@ -274,7 +274,8 @@ def timing_compare(cfg: BenchConfig, k: int | None = None) -> dict:
         times.append(time.perf_counter() - t0)
     thresh_s = float(np.median(times))
     t0 = time.perf_counter()
-    baselines.omp_batch(inst.W0, inst.X, k)
+    for x in inst.X.data.T:
+        baselines.omp(inst.W0, x, k)
     omp_s = time.perf_counter() - t0
     return {
         "n": cfg.n, "m": cfg.m, "N": cfg.N_test, "k": k,

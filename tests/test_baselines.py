@@ -104,7 +104,7 @@ def test_omp_matches_norm_reference_byte_for_byte():
     for W, X, k_only in cases:
         for k in (k_only,) if k_only else (1, 4, 8):
             for i in range(X.data.shape[1]):
-                x = X.data[:, i]  # a strided column, as omp_batch passes it
+                x = X.data[:, i]  # a strided column, as timing_compare passes it
                 res = baselines.omp(W, x, k)
                 code, rnorm, atoms = _omp_reference(W, x, k)
                 assert res.code.tobytes() == code.tobytes()
@@ -147,6 +147,11 @@ def test_dominant_pair_matches_norm_reference_byte_for_byte():
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
+def _omp_per_sample(W, X, k):
+    """Every column of X coded by its own omp call: omp_batch's reference."""
+    return np.column_stack([baselines.omp(W, x, k).code for x in X.data.T])
+
+
 def test_omp_batch_matches_per_sample():
     rng = np.random.default_rng(44)
     W = core.random_dictionary(9, 15, seed=6)
@@ -156,27 +161,27 @@ def test_omp_batch_matches_per_sample():
         assert np.allclose(Z[:, i], baselines.omp(W, X.data[:, i], 3).code)
 
 
-def _assert_gram_matches_batch(W, X, k):
+def _assert_batch_matches_per_sample(W, X, k, tol=1e-12):
+    Zs = _omp_per_sample(W, X, k)
     Zb = baselines.omp_batch(W, X, k)
-    Zg = baselines.omp_gram(W, X, k)
-    assert np.array_equal(Zg != 0, Zb != 0)
-    assert np.max(np.abs(Zg - Zb), initial=0.0) <= 1e-12
+    assert np.array_equal(Zb != 0, Zs != 0)
+    assert np.max(np.abs(Zb - Zs), initial=0.0) <= tol
 
 
-def test_omp_gram_matches_batch_on_random_dictionaries():
+def test_omp_batch_matches_omp_on_random_dictionaries():
     rng = np.random.default_rng(47)
     W = core.random_dictionary(12, 20, seed=9)
     X = DataMatrix(rng.standard_normal((12, 60)))
     for k in (1, 3, 20):
-        _assert_gram_matches_batch(W, X, k)
+        _assert_batch_matches_per_sample(W, X, k)
     # the shape of the benchmark cells, at both of their k
     W = core.random_dictionary(64, 128, seed=10)
     X = DataMatrix(rng.standard_normal((64, 150)))
     for k in (4, 8):
-        _assert_gram_matches_batch(W, X, k)
+        _assert_batch_matches_per_sample(W, X, k)
 
 
-def test_omp_gram_early_stops_per_sample():
+def test_omp_batch_early_stops_per_sample():
     # exactly 1-, 2- and 3-sparse samples coded at k=4 stop at different
     # steps; the all-zero column gets the zero code
     rng = np.random.default_rng(48)
@@ -189,52 +194,52 @@ def test_omp_gram_early_stops_per_sample():
         cols.append(Wq @ z)
     cols.append(np.zeros(10))
     X = DataMatrix(np.column_stack(cols))
-    _assert_gram_matches_batch(W, X, 4)
-    Z = baselines.omp_gram(W, X, 4)
+    _assert_batch_matches_per_sample(W, X, 4)
+    Z = baselines.omp_batch(W, X, 4)
     assert [np.count_nonzero(Z[:, i]) for i in range(7)] == [1, 2, 3, 1, 3, 2, 0]
 
 
-def test_omp_gram_never_reselects():
+def test_omp_batch_never_reselects():
     # atom 4 repeats atom 1, so their tie goes to the lower index; the
     # second sample leaves the atoms' span, so after atom 0 every step
     # picks a fresh atom whose coefficient is exactly zero, atom 4 last
     E = np.eye(5)
     W = core.Dictionary(np.column_stack([E[0], E[1], E[2], E[3], E[1]]))
     X = DataMatrix(np.column_stack([2.0 * E[1], E[0] + E[4]]))
-    _assert_gram_matches_batch(W, X, 5)
-    assert np.flatnonzero(baselines.omp_gram(W, X, 5).T).tolist() == [1, 5]
+    _assert_batch_matches_per_sample(W, X, 5)
+    assert np.flatnonzero(baselines.omp_batch(W, X, 5).T).tolist() == [1, 5]
     rng = np.random.default_rng(49)
-    _assert_gram_matches_batch(W, DataMatrix(rng.standard_normal((5, 20))), 4)
+    _assert_batch_matches_per_sample(W, DataMatrix(rng.standard_normal((5, 20))), 4)
 
 
-def test_omp_gram_validation():
+def test_omp_batch_validation():
     W = core.random_dictionary(8, 12, seed=3)
     with pytest.raises(DimensionMismatch):
-        baselines.omp_gram(W, DataMatrix(np.ones((9, 2))), 2)
+        baselines.omp_batch(W, DataMatrix(np.ones((9, 2))), 2)
     with pytest.raises(InvalidK):
-        baselines.omp_gram(W, DataMatrix(np.ones((8, 2))), 0)
+        baselines.omp_batch(W, DataMatrix(np.ones((8, 2))), 0)
     with pytest.raises(InvalidK):
-        baselines.omp_gram(W, DataMatrix(np.ones((8, 2))), 13)
+        baselines.omp_batch(W, DataMatrix(np.ones((8, 2))), 13)
 
 
-def test_omp_gram_singular_solve_raises(monkeypatch):
+def test_omp_batch_singular_pivot_raises(monkeypatch):
     # a negative ridge makes the first pivot of every unit-norm atom
     # negative; with no ridge, the last step of the second sample below
     # picks atom 4, a copy of its picked atom 1, and the pivot is exactly 0
     W = core.random_dictionary(8, 12, seed=3)
     monkeypatch.setattr(baselines, "RIDGE", -2.0)
     with pytest.raises(SingularSubproblem):
-        baselines.omp_gram(W, DataMatrix(np.ones((8, 2))), 2)
+        baselines.omp_batch(W, DataMatrix(np.ones((8, 2))), 2)
     E = np.eye(5)
     W = core.Dictionary(np.column_stack([E[0], E[1], E[2], E[3], E[1]]))
     X = DataMatrix(np.column_stack([2.0 * E[1], E[0] + E[4]]))
     monkeypatch.setattr(baselines, "RIDGE", 0.0)
-    baselines.omp_gram(W, X, 4)
+    baselines.omp_batch(W, X, 4)
     with pytest.raises(SingularSubproblem):
-        baselines.omp_gram(W, X, 5)
+        baselines.omp_batch(W, X, 5)
 
 
-def test_omp_gram_residual_screen_keeps_omp_stops():
+def test_omp_batch_residual_screen_keeps_omp_stops():
     # exactly s-sparse samples, s = 1..8, coded at k = 8: the explicit
     # residual stops them after s steps at scales 1e-6 and 1, and at 1e6
     # its rounding stays above the floor; the Gram-form screen must pass
@@ -249,10 +254,7 @@ def test_omp_gram_residual_screen_keeps_omp_stops():
             z[rng.choice(128, s, replace=False)] = rng.uniform(0.5, 2.0, s) * rng.choice([-1, 1], s)
             cols.append(W.data @ (scale * z))
         X = DataMatrix(np.column_stack(cols))
-        Zb = baselines.omp_batch(W, X, 8)
-        Zg = baselines.omp_gram(W, X, 8)
-        assert np.array_equal(Zg != 0, Zb != 0)
-        assert np.max(np.abs(Zg - Zb)) <= 1e-12 * scale
+        _assert_batch_matches_per_sample(W, X, 8, tol=1e-12 * scale)
         steps = [len(baselines.omp(W, x, 8).atoms) for x in X.data.T]
         assert steps == (sparsity.tolist() if scale < 1e6 else [8] * sparsity.size)
 
@@ -332,7 +334,20 @@ def test_ksvd_validation():
 
 def test_ksvd_codes_as_per_sample_omp(monkeypatch):
     _, _, X, k = _ksvd_instance(0)
-    W_gram = baselines.ksvd_train(X, 24, k, iters=5, seed=0)
-    monkeypatch.setattr(baselines, "omp_gram", baselines.omp_batch)
     W_batch = baselines.ksvd_train(X, 24, k, iters=5, seed=0)
-    assert np.max(np.abs(W_gram.data - W_batch.data)) <= 1e-12
+    monkeypatch.setattr(baselines, "omp_batch", _omp_per_sample)
+    W_omp = baselines.ksvd_train(X, 24, k, iters=5, seed=0)
+    assert np.max(np.abs(W_batch.data - W_omp.data)) <= 1e-12
+
+
+def test_ksvd_codes_through_omp_batch_once_per_sweep(monkeypatch):
+    # perfbench's K-SVD layer metrics count omp_batch spans under
+    # ksvd_train, so each sweep must code through baselines.omp_batch
+    calls = []
+    for name in ("omp_batch", "omp"):
+        fn = getattr(baselines, name)
+        monkeypatch.setattr(baselines, name,
+                            lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
+    _, _, X, k = _ksvd_instance(0)
+    baselines.ksvd_train(X, 24, k, iters=3, seed=0)
+    assert calls == ["omp_batch"] * 3

@@ -277,6 +277,18 @@ def test_timing_compare_fields():
     assert rec["ratio"] > 0.0
 
 
+def test_timing_compare_times_one_omp_call_per_test_column(monkeypatch):
+    # criterion 7's baseline is per-sample omp, not Batch OMP
+    calls = []
+    for name in ("omp_batch", "omp"):
+        fn = getattr(baselines, name)
+        monkeypatch.setattr(baselines, name,
+                            lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
+    cfg = tiny_config(N_test=40)
+    bench.timing_compare(cfg)
+    assert calls == ["omp"] * cfg.N_test
+
+
 def test_timing_thresholded_scales_linearly():
     # doubling N should roughly double one batched encode
     inst_small = bench.generate_synthetic(64, 128, 4000, 8, 0.1, seed=0)

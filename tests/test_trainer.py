@@ -127,6 +127,18 @@ def test_update_z_one_step_orthonormal_matches_encoder():
     assert np.array_equal(Z.data != 0, ref != 0)
 
 
+def _smooth_value(state, X, hp, Z):
+    """The code step's objective at codes Z: the Lagrangian's terms in Z
+    but the sparsity constraint, from state's W, Q and Y."""
+    W = state.W.data
+    G = W.T @ W
+    resid = X.data - W @ Z
+    coupling = G @ Z - W.T @ X.data + state.Q
+    return (0.5 * hp.theta * np.linalg.norm(resid) ** 2
+            + (state.Y * (G @ Z)).sum()
+            + 0.5 * hp.beta * np.linalg.norm(coupling) ** 2)
+
+
 def test_update_z_descends_and_keeps_sparsity():
     rng = np.random.default_rng(22)
     n, m, N, k = 10, 16, 40, 3
@@ -135,23 +147,15 @@ def test_update_z_descends_and_keeps_sparsity():
     state = _random_state(rng, n, m, N, k)
     X = _data(rng, n, N)
 
-    def smooth_value(Z):
-        W = state.W.data
-        G = W.T @ W
-        resid = X.data - W @ Z
-        coupling = G @ Z - W.T @ X.data + state.Q
-        return (0.5 * hp.theta * np.linalg.norm(resid) ** 2
-                + (state.Y * (G @ Z)).sum()
-                + 0.5 * hp.beta * np.linalg.norm(coupling) ** 2)
-
     Z = trainer.update_Z(state, X, hp)
     assert np.all((Z.data != 0).sum(axis=0) <= k)
-    assert smooth_value(Z.data) <= smooth_value(state.Z.data) + 1e-9
+    assert _smooth_value(state, X, hp, Z.data) <= _smooth_value(state, X, hp, state.Z.data) + 1e-9
     # from init_state, no worse than the thresholded start
     state = trainer.init_state(X, hp, seed=22)
     state.Q, state.Y = rng.standard_normal((m, N)), rng.standard_normal((m, N))
     Z = trainer.update_Z(state, X, hp)
-    assert smooth_value(Z.data) <= smooth_value(encoder.encode_batch(state.W, X, k)) + 1e-9
+    Z_thr = encoder.encode_batch(state.W, X, k)
+    assert _smooth_value(state, X, hp, Z.data) <= _smooth_value(state, X, hp, Z_thr) + 1e-9
 
 
 def test_update_z_repeat_never_ascends():
@@ -162,19 +166,10 @@ def test_update_z_repeat_never_ascends():
     state = _random_state(rng, n, m, N, k)
     X = _data(rng, n, N)
 
-    def smooth_value(Z):
-        W = state.W.data
-        G = W.T @ W
-        resid = X.data - W @ Z
-        coupling = G @ Z - W.T @ X.data + state.Q
-        return (0.5 * hp.theta * np.linalg.norm(resid) ** 2
-                + (state.Y * (G @ Z)).sum()
-                + 0.5 * hp.beta * np.linalg.norm(coupling) ** 2)
-
     Z1 = trainer.update_Z(state, X, hp)
     state2 = trainer.TrainerState(W=state.W, Z=Z1, Q=state.Q, Y=state.Y)
     Z2 = trainer.update_Z(state2, X, hp)
-    assert smooth_value(Z2.data) <= smooth_value(Z1.data) + 1e-9
+    assert _smooth_value(state, X, hp, Z2.data) <= _smooth_value(state, X, hp, Z1.data) + 1e-9
 
 
 def test_update_z_trace_ends_at_smooth_part_of_lagrangian():
