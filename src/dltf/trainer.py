@@ -85,16 +85,18 @@ class TrainerState:
     history: list = field(default_factory=list)
 
 
-def lagrangian_value(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> float:
-    """Augmented Lagrangian at the current state."""
+def _split_residual(state: TrainerState, X: DataMatrix):
+    """X - WZ and W^T (X - WZ) at the state's W and Z, the one place they
+    are formed: the split residual is R = Q - W^T (X - WZ)."""
     W = state.W.data
-    Z = state.Z.data
-    resid = W @ Z
+    resid = W @ state.Z.data
     np.subtract(X.data, resid, out=resid)
-    R = W.T @ resid
-    np.subtract(state.Q, R, out=R)
-    G = W.T @ W
-    gram_dev = G - np.eye(hp.m)
+    return resid, W.T @ resid
+
+
+def _lagrangian(state: TrainerState, hp: Hyperparams, resid, R) -> float:
+    """Augmented Lagrangian, term by term, from resid = X - WZ and R."""
+    gram_dev = state.W.data.T @ state.W.data - np.eye(hp.m)
     return (
         0.5 * hp.lam * k2_norm_sq(state.Q, hp.kprime)
         + float(np.vdot(gram_dev, gram_dev))
@@ -104,14 +106,16 @@ def lagrangian_value(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> flo
     )
 
 
+def lagrangian_value(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> float:
+    """Augmented Lagrangian at the current state."""
+    resid, A = _split_residual(state, X)
+    return _lagrangian(state, hp, resid, np.subtract(state.Q, A, out=A))
+
+
 def primal_residual(state: TrainerState, X: DataMatrix) -> float:
     """Frobenius norm of Q - W^T (X - WZ)."""
-    W = state.W.data
-    resid = W @ state.Z.data
-    np.subtract(X.data, resid, out=resid)
-    R = W.T @ resid
-    np.subtract(state.Q, R, out=R)
-    return float(np.linalg.norm(R))
+    _, A = _split_residual(state, X)
+    return float(np.linalg.norm(np.subtract(state.Q, A, out=A)))
 
 
 def support_rows(Z: np.ndarray, k: int) -> np.ndarray:
@@ -205,9 +209,8 @@ def update_Q(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> np.ndarray:
     """Split-variable update: the prox of the squared (2k,2) norm of each
     column of W^T (X - WZ) - Y / beta, with gamma = lambda / beta, in one
     batched call."""
-    W = state.W.data
-    C = W.T @ (X.data - W @ state.Z.data) - state.Y / hp.beta
-    return prox_k2(C, hp.kprime, hp.lam / hp.beta)
+    _, A = _split_residual(state, X)
+    return prox_k2(A - state.Y / hp.beta, hp.kprime, hp.lam / hp.beta)
 
 
 class _WSubproblem:
@@ -377,8 +380,8 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams,
 
 def update_Y(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> np.ndarray:
     """Dual ascent on the splitting constraint."""
-    W = state.W.data
-    return state.Y + hp.beta * (state.Q - W.T @ (X.data - W @ state.Z.data))
+    _, A = _split_residual(state, X)
+    return state.Y + hp.beta * np.subtract(state.Q, A, out=A)
 
 
 def init_state(X: DataMatrix, hp: Hyperparams, seed) -> TrainerState:
@@ -394,11 +397,14 @@ def train(X: DataMatrix, hp: Hyperparams, seed):
 
     Stops after outer_iters rounds or once the primal residual falls
     below primal_tol * sqrt(m N). Deterministic given (X, hp, seed).
-    Each history record carries the Lagrangian value, primal residual,
-    worst column-norm deviation, reconstruction error, the round's code
-    and dictionary step counts (iht_steps, w_steps), the ms each update
-    took (z_ms, q_ms, w_ms, y_ms) and the round's wall time (wall_ms, which
-    adds the diagnostics).
+    After the W step a round forms X - WZ and W^T (X - WZ) once, by the
+    body update_Q, update_Y, primal_residual and lagrangian_value share,
+    and reads the Y step and the diagnostics from them. Each history
+    record carries the Lagrangian value, primal residual, worst
+    column-norm deviation, reconstruction error, the round's code and
+    dictionary step counts (iht_steps, w_steps), the ms of each step
+    (z_ms, q_ms, w_ms; y_ms covers that product and the Y step) and the
+    round's wall time (wall_ms, which adds the diagnostics).
     """
     state = init_state(X, hp, seed)
     stop = hp.primal_tol * math.sqrt(hp.m * X.N)
@@ -411,20 +417,19 @@ def train(X: DataMatrix, hp: Hyperparams, seed):
         stamps.append(time.perf_counter())
         state.W = update_W(state, X, hp, trace=w_trace)
         stamps.append(time.perf_counter())
-        state.Y = update_Y(state, X, hp)
+        resid, A = _split_residual(state, X)
+        R = np.subtract(state.Q, A, out=A)
+        state.Y = state.Y + hp.beta * R  # update_Y's step, from this round's R
         stamps.append(time.perf_counter())
-        primal = primal_residual(state, X)
+        primal = float(np.linalg.norm(R))
         colnorms = np.linalg.norm(state.W.data, axis=0)
-        resid = state.W.data @ state.Z.data
-        np.subtract(X.data, resid, out=resid)
-        recon = float(np.linalg.norm(resid))
         state.history.append(
             {
                 "iteration": it + 1,
-                "lagrangian": lagrangian_value(state, X, hp),
+                "lagrangian": _lagrangian(state, hp, resid, R),
                 "primal_residual": primal,
                 "max_colnorm_dev": float(np.max(np.abs(colnorms - 1.0))),
-                "recon_error": recon,
+                "recon_error": float(np.linalg.norm(resid)),
                 "iht_steps": len(iht_trace) - 1,
                 "w_steps": len(w_trace) - 1,
                 **{f"{u}_ms": (b - a) * 1e3 for u, a, b in zip("zqwy", stamps, stamps[1:])},

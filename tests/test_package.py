@@ -243,6 +243,22 @@ def test_ridge_is_read_only_in_baselines():
     assert not found, found
 
 
+def _subtracts_from_x(node):
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        return ast.unparse(node.left) == "X.data"
+    return (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.subtract"
+            and bool(node.args) and ast.unparse(node.args[0]) == "X.data")
+
+
+def test_split_residual_is_formed_once_in_trainer():
+    # trainer._split_residual is the one place X - WZ is formed: the
+    # updates, the diagnostics and train read it from there
+    sites = sorted((fn.name, node.lineno) for fn in ast.walk(_trees()["trainer.py"])
+                   if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if _subtracts_from_x(node))
+    assert [name for name, _ in sites] == ["_split_residual"], sites
+
+
 def test_loop_targets_are_read():
     # a for target that nothing reads is a name no caller needs: bind _
     unread = set()

@@ -850,3 +850,10 @@ def test_train_history_counts_iht_steps():
         state.Y = trainer.update_Y(state, X, hp)
         assert rec["iht_steps"] == len(trace) - 1
         assert rec["w_steps"] == len(w_trace) - 1 <= hp.w_iters
+        # train reads its diagnostics from one residual product: the same bits
+        assert rec["lagrangian"] == trainer.lagrangian_value(state, X, hp)
+        assert rec["primal_residual"] == trainer.primal_residual(state, X)
+        assert rec["recon_error"] == float(np.linalg.norm(X.data - state.W.data @ state.Z.data))
+    for got, replayed in ((trained.W.data, state.W.data), (trained.Z.data, state.Z.data),
+                          (trained.Q, state.Q), (trained.Y, state.Y)):
+        assert got.tobytes() == replayed.tobytes()
