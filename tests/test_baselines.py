@@ -170,6 +170,9 @@ def test_omp_batch_matches_omp_on_random_dictionaries():
     X = DataMatrix(rng.standard_normal((64, 150)))
     for k in (4, 8):
         _assert_batch_matches_per_sample(W, X, k)
+
+
+def test_omp_batch_matches_per_sample():
     W = core.random_dictionary(9, 15, seed=6)
     X = DataMatrix(np.random.default_rng(44).standard_normal((9, 7)))
     _assert_batch_matches_per_sample(W, X, 3)
