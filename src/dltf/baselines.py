@@ -91,11 +91,13 @@ def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
     lockstep (Batch OMP, Rubinstein, Zibulevsky & Elad 2008).
 
     Samples are rows: G = WᵀW and C = XᵀW are formed once, and the codes
-    are N x m; the m x N result is their transposed view. Each step makes
-    one product ZG into a reused buffer and forms |C − ZG| in it; argmax
-    along each row picks the next atom (the sample's picked atoms masked
-    by index, the lowest index winning ties). Each sample keeps the
-    Cholesky factor L of G_SS + RIDGE·I and grows it by one row per step:
+    are N x m; the m x N result is their transposed view. A reused buffer
+    starts as the zero product ZG of the empty codes, each later step
+    makes ZG into it, and every step runs one body: the screen below,
+    then |C − ZG| in the buffer, where argmax along each row picks the
+    next atom (the sample's picked atoms masked by index, the lowest
+    index winning ties). Each sample keeps the Cholesky factor L of
+    G_SS + RIDGE·I and grows it by one row per step:
     w = L⁻¹G_Sa by forward substitution, vectorized over the samples, and
     the pivot √(G_aa + RIDGE − wᵀw); a pivot that is not positive and
     finite raises SingularSubproblem. The coefficients then take two
@@ -119,7 +121,7 @@ def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
     G = Wd.T @ Wd
     N = Xd.shape[1]
     Z = np.zeros((N, m))
-    P = np.empty((N, m))  # ZG, then |C − ZG|
+    P = np.zeros((N, m))  # ZG, then |C − ZG|
     xx = np.einsum("ij,ij->j", Xd, Xd)
     # the live samples' rows: indices, correlations, codes, product buffer,
     # picks, factors, forward-substituted right-hand sides and squared data
@@ -131,14 +133,12 @@ def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
     coef = np.zeros((0, N))
     rows = np.arange(N)  # positions in the live arrays
     for j in range(k):
-        if j:
+        if j:  # P holds ZG = 0 before the first pick
             np.matmul(Zl, G, out=P)
-            S = picked[:j]
-            gram = (xx - 2.0 * np.einsum("sn,sn->n", coef, C[rows, S])
-                    + np.einsum("sn,sn->n", coef, P[rows, S]))
-            scale = np.sqrt(xx) + np.abs(coef).sum(axis=0)
-        else:
-            gram, scale = xx, np.sqrt(xx)
+        S = picked[:j]
+        gram = (xx - 2.0 * np.einsum("sn,sn->n", coef, C[rows, S])
+                + np.einsum("sn,sn->n", coef, P[rows, S]))
+        scale = np.sqrt(xx) + np.abs(coef).sum(axis=0)
         near = np.flatnonzero(gram < RESIDUAL_FLOOR**2 + 1e-8 * scale**2)
         if near.size:
             rnorm = np.linalg.norm(Xd[:, live[near]] - Wd @ Zl[near].T, axis=0)
@@ -154,11 +154,8 @@ def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
                     return Z.T
                 rows = np.arange(live.size)
         S = picked[:j]
-        if j:
-            np.subtract(C, P, out=P)
-            np.abs(P, out=P)
-        else:
-            np.abs(C, out=P)
+        np.subtract(C, P, out=P)
+        np.abs(P, out=P)
         # mask by picked index: a picked atom may have a zero coefficient
         P[rows, S] = -1.0
         a = P.argmax(axis=1)
@@ -231,10 +228,8 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
         np.subtract(Xt, E, out=E)
         order = np.argsort(-np.einsum("ij,ij->i", E, E))
         # the samples each atom uses, ascending, grouped by atom
-        samples, atoms = np.nonzero(Z)
-        users = samples[np.argsort(atoms, kind="stable")]
-        bounds = np.zeros(m + 1, dtype=np.intp)
-        np.cumsum(np.bincount(atoms, minlength=m), out=bounds[1:])
+        atoms, users = np.nonzero(Z.T)
+        bounds = np.searchsorted(atoms, np.arange(m + 1))
         reseeds = 0
         for j in range(m):
             uses = users[bounds[j]:bounds[j + 1]]

@@ -100,7 +100,7 @@ def _cmd_sweep(args) -> int:
                 if c["method"] == "dltf" and "ave_dif" in c]
         shown = f"{np.mean(vals):.4f}" if vals else "n/a"
         print(f"  {args.param}={point['value']}: dltf mean ave_dif={shown}")
-    return 0
+    return 2 if any(point["report"]["partial"] for point in series) else 0
 
 
 def _cmd_train(args) -> int:

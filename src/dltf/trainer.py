@@ -145,7 +145,7 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     eigenvalue of H, computed exactly (eigvalsh), takes the top k rows S of
     every column of the result, and solves each column's quadratic on its
     rows exactly, H_SS z_S = -b_S, for all columns in one stacked solve
-    (baselines.solve_on_supports, as Batch OMP does). The value comes from
+    (baselines.solve_on_supports). The value comes from
     the same g, as f(Z) = 1/2 (<Z, g> + <Z, b>) + c.
 
     The inner loop starts from the current codes (init_state's are the

@@ -71,6 +71,16 @@ def test_omp_validation():
         baselines.omp(W, np.ones(8), 13)
 
 
+def test_omp_singular_solve_raises(monkeypatch):
+    def singular(A, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    W = core.random_dictionary(8, 12, seed=3)
+    monkeypatch.setattr(baselines.np.linalg, "solve", singular)
+    with pytest.raises(SingularSubproblem, match=r"^normal equations singular with atoms \[\d+\]$"):
+        baselines.omp(W, np.ones(8), 2)
+
+
 def _omp_reference(W, x, k):
     """omp as a plain loop that takes every norm with np.linalg.norm: the
     reference omp must match byte for byte. Returns (code, residual norm,

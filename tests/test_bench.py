@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dltf import baselines, bench, cli, core, encoder, guarantees, trainer
-from dltf.errors import InvalidK
+from dltf.errors import InvalidK, SingularSubproblem
 
 
 def tiny_config(**overrides):
@@ -552,6 +552,39 @@ def test_cli_sweep_smoke(tmp_path, capsys):
     with open(prefix + ".json", encoding="utf-8") as fh:
         series = json.load(fh)
     assert len(series) == 2
+
+
+def _failing_train(monkeypatch):
+    def boom(*args, **kwargs):
+        raise SingularSubproblem("forced failure")
+
+    monkeypatch.setattr(trainer, "train", boom)
+
+
+def test_cli_sweep_partial_report_exits_two(tmp_path, capsys, monkeypatch):
+    _failing_train(monkeypatch)
+    prefix = str(tmp_path / "sw")
+    code = run_cli(["sweep", "--param", "theta", "--grid", "0.01",
+                    "--n", "16", "--m", "24", "--N", "100", "--k", "2",
+                    "--seed", "0", "--methods", "original,dltf", "--out", prefix])
+    assert code == 2
+    assert "theta=0.01: dltf mean ave_dif=n/a" in capsys.readouterr().out
+    with open(prefix + ".json", encoding="utf-8") as fh:
+        series = json.load(fh)
+    assert len(series) == 1 and series[0]["report"]["partial"]
+
+
+def test_cli_synth_bench_partial_report_exits_two(tmp_path, capsys, monkeypatch):
+    _failing_train(monkeypatch)
+    prefix = str(tmp_path / "out")
+    code = run_cli(["synth-bench", "--n", "16", "--m", "24", "--N", "100",
+                    "--k", "2", "--seed", "0", "--methods", "original,dltf",
+                    "--out", prefix])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "  dltf k=2 seed=0: ERROR\n" in out
+    assert "  original k=2 seed=0: ave_dif=" in out
+    assert (tmp_path / "out.json").exists() and (tmp_path / "out.csv").exists()
 
 
 def test_cli_bad_flags_exit_code_one():

@@ -114,6 +114,19 @@ def test_load_payload_dimension_mismatch(tmp_path):
         core.load_dictionary(path)
 
 
+@pytest.mark.parametrize("version, rows, cols, message", [
+    (core.FORMAT_VERSION + 1, 2, 2, "unsupported format version 2"),
+    (core.FORMAT_VERSION, 0, 2, r"degenerate shape \(0, 2\)"),
+    (core.FORMAT_VERSION, 2, 0, r"degenerate shape \(2, 0\)"),
+])
+def test_load_rejects_bad_header_fields(tmp_path, version, rows, cols, message):
+    path = tmp_path / "w.dltf"
+    header = core._HEADER.pack(core.MAGIC_DICTIONARY, version, rows, cols)
+    path.write_bytes(header + np.eye(2).tobytes())
+    with pytest.raises(FileFormatError, match=message):
+        core.load_dictionary(path)
+
+
 def test_json_roundtrip_row_major(tmp_path):
     rng = np.random.default_rng(9)
     W = core.normalize_columns(rng.standard_normal((3, 5)))
@@ -135,6 +148,12 @@ def test_json_data_must_be_a_flat_list(n, m, data):
     # a nested list of the right size would otherwise be reshaped silently
     with pytest.raises(FileFormatError, match="data must be a flat list"):
         core.dictionary_from_json({"n": n, "m": m, "data": data})
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_json_data_size_must_match_dimensions(size):
+    with pytest.raises(DimensionMismatch, match=f"promises 2x2, data has {size} entries$"):
+        core.dictionary_from_json({"n": 2, "m": 2, "data": [1.0] * size})
 
 
 def test_json_missing_field():

@@ -93,6 +93,12 @@ def test_encode_batch_dimension_mismatch():
         encoder.encode_batch(W, X, 3)
 
 
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 4)])
+def test_max_k_columns_rejects_a_non_matrix(shape):
+    with pytest.raises(DimensionMismatch, match="^expected 2-d array, got shape "):
+        encoder.max_k_columns(np.ones(shape), 1)
+
+
 def test_ave_dif_exact_zero():
     # supports are exact: 1e-300 counts as nonzero, -0.0 does not
     v = np.array([[0.0], [1e-300], [-0.0], [2.0]])

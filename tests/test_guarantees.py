@@ -117,6 +117,17 @@ def test_weak_condition_all_zero():
         guarantees.weak_condition(W, np.zeros(5))
 
 
+@pytest.mark.parametrize("size", [4, 6])
+@pytest.mark.parametrize("check", [
+    lambda W, z: guarantees.weak_condition(W, z),
+    lambda W, z: guarantees.weak_condition_noisy(W, z, np.zeros(5)),
+    lambda W, z: guarantees.strong_condition(W, z, np.zeros(5), 0.1),
+], ids=["weak", "weak_noisy", "strong"])
+def test_code_length_must_match_the_atom_count(check, size):
+    with pytest.raises(DimensionMismatch, match=f"^code must be a length-5 vector, got shape \\({size},\\)$"):
+        check(orthonormal(5), np.ones(size))
+
+
 def test_weak_condition_noisy_zero_noise_matches():
     rng = np.random.default_rng(45)
     W = core.normalize_columns(rng.standard_normal((24, 10)))

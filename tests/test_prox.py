@@ -380,6 +380,8 @@ def test_prox_batch_input_errors():
         prox.prox_k2(np.ones((3, 2)), 1, True)
     with pytest.raises(TypeError, match="^gamma=True must be a real number$"):
         prox.prox_objective(np.ones(3), np.ones(3), 1, True)
+    with pytest.raises(DimensionMismatch, match=r"^q and c differ in shape: \(3,\) vs \(4,\)$"):
+        prox.prox_objective(np.ones(3), np.ones(4), 1, 1.0)
 
 
 def test_k2_norm_sq_sums_over_columns():

@@ -836,6 +836,22 @@ def test_train_history_iterations_are_sequential():
     assert [rec["iteration"] for rec in state.history] == [1, 2, 3, 4]
 
 
+def test_train_stops_once_the_primal_residual_is_below_the_tolerance(monkeypatch):
+    rng = np.random.default_rng(34)
+    X = DataMatrix(rng.standard_normal((6, 30)))
+    hp = trainer.Hyperparams(m=8, k=2, outer_iters=4, iht_iters=10, w_iters=5)
+    _, full = trainer.train(X, hp, seed=3)
+    # a tolerance above round 1's relative residual stops the run after it
+    tol = 2.0 * full.history[0]["primal_residual"] / math.sqrt(hp.m * X.N)
+    monkeypatch.setattr(trainer.Hyperparams, "primal_tol", tol)
+    _, state = trainer.train(X, hp, seed=3)
+    assert len(state.history) == 1
+    rec = state.history[0]
+    assert rec["primal_residual"] < hp.primal_tol * math.sqrt(hp.m * X.N)
+    assert rec["primal_residual"] == full.history[0]["primal_residual"]
+    assert len(full.history) == hp.outer_iters
+
+
 def test_train_history_counts_iht_steps():
     rng = np.random.default_rng(40)
     X = DataMatrix(rng.standard_normal((8, 40)))
