@@ -213,11 +213,12 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
     n x uses block and scatters the updated block back. Unused atoms take
     the samples worst represented at the start of the sweep, in order,
     each once (the worst again once all are taken). ValueError unless
-    iters is at least 1.
+    m and iters are at least 1 and seed at least 0.
     """
     n = X.data.shape[0]
-    k = check_k(k, m)
+    k = check_k(k, check_int(m, "m", least=1))
     check_int(iters, "iters", least=1)
+    check_int(seed, "seed", least=0)
     W = core.random_dictionary(n, m, seed).data.copy()
 
     Xt = X.data.T

@@ -94,6 +94,8 @@ def generate_synthetic(n: int, m: int, N: int, k: int, noise_std: float,
     """One self-contained instance: seeded Gaussian W0 with unit columns,
     binary codes with exactly k ones per column, additive Gaussian noise.
     """
+    for size, name in ((n, "n"), (m, "m"), (N, "N")):
+        check_int(size, name, least=1)
     k = check_k(k, m)
     check_real(noise_std, "noise_std")
     check_int(seed, "seed", least=0)

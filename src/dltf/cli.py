@@ -21,7 +21,6 @@ from .errors import (
     DltfError,
     MonotonicityViolated,
     SingularSubproblem,
-    check_int,
 )
 
 VALIDATION_ERRORS = (DltfError, ValueError, OSError, KeyError, TypeError)
@@ -104,7 +103,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    check_int(args.seed, "seed", least=0)
     X = core.load_data_matrix(args.data)
     hp = trainer.Hyperparams(**_given(args, trainer.Hyperparams))
     W, state = trainer.train(X, hp, seed=args.seed)

@@ -16,15 +16,15 @@ from .errors import DimensionMismatch, check_k
 _BLOCK = 200  # columns per selection block: 1600-byte rows
 
 
-def max_k_columns(M: np.ndarray, k: int) -> np.ndarray:
-    """Apply the top-k magnitude threshold to every column of M, which must be finite."""
+def top_k_mask(M: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the k entries of largest magnitude in every column
+    of M, which must be finite: exactly k True per column, the lower index
+    winning ties."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise DimensionMismatch(f"expected 2-d array, got shape {M.shape}")
     m = M.shape[0]
     k = check_k(k, m)
-    if k == m:
-        return M.copy()
     # The k-th largest magnitude per column, by partial selection over
     # blocks of columns copied into a small buffer. np.partition walks a
     # column with the row stride; the buffer stays in cache, and its rows
@@ -49,7 +49,13 @@ def max_k_columns(M: np.ndarray, k: int) -> np.ndarray:
         tied = A == thresh
         rank = np.cumsum(tied, axis=0)
         keep[:, over] = above | (tied & (rank <= k - above.sum(axis=0)))
-    return np.where(keep, M, 0.0)
+    return keep
+
+
+def max_k_columns(M: np.ndarray, k: int) -> np.ndarray:
+    """Apply the top-k magnitude threshold to every column of M, which must be finite."""
+    M = np.asarray(M, dtype=np.float64)
+    return np.where(top_k_mask(M, k), M, 0.0)
 
 
 def max_k(v: np.ndarray, k: int) -> np.ndarray:

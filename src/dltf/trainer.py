@@ -36,7 +36,7 @@ import numpy as np
 from .baselines import solve_on_supports
 from .core import (DataMatrix, Dictionary, SparseCodeBatch, as_finite_array, normalize_columns,
                    random_dictionary)
-from .encoder import max_k_columns
+from .encoder import max_k_columns, top_k_mask
 from .errors import (DimensionMismatch, LineSearchFailed, MonotonicityViolated, check_int, check_k,
                      check_real)
 from .prox import k2_norm_sq, prox_k2
@@ -118,23 +118,6 @@ def primal_residual(state: TrainerState, X: DataMatrix) -> float:
     return float(np.linalg.norm(np.subtract(state.Q, A, out=A)))
 
 
-def support_rows(Z: np.ndarray, k: int) -> np.ndarray:
-    """k row indices per column of Z, as a k x N array: the column's
-    nonzero rows, then its zero rows, each in ascending order. Columns
-    with exactly k nonzeros are read from one np.flatnonzero pass, the
-    others by a stable argsort."""
-    m, N = Z.shape
-    flat = np.flatnonzero((Z != 0).T.ravel())  # column by column
-    col = flat // m
-    exact = np.bincount(col, minlength=N) == k
-    rows = np.empty((k, N), dtype=np.intp)
-    rows[:, exact] = (flat[exact[col]] % m).reshape(-1, k).T
-    if not exact.all():
-        rest = ~exact
-        rows[:, rest] = np.argsort(Z[:, rest] == 0, axis=0, kind="stable")[:k]
-    return rows
-
-
 def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
              trace: list | None = None) -> SparseCodeBatch:
     """Code update: hard thresholding pursuit (Foucart 2011) on the smooth
@@ -143,7 +126,8 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     b = G (Y + beta D) - theta W^T X and c = theta/2 ||X||^2 + beta/2 ||D||^2.
     Each step moves 0.99/L along the gradient g = HZ + b, with L the largest
     eigenvalue of H, computed exactly (eigvalsh), takes the top k rows S of
-    every column of the result, and solves each column's quadratic on its
+    every column of the result, in ascending order, from the encoder's own
+    selection (top_k_mask), and solves each column's quadratic on its
     rows exactly, H_SS z_S = -b_S, for all columns in one stacked solve
     (baselines.solve_on_supports). The value comes from
     the same g, as f(Z) = 1/2 (<Z, g> + <Z, b>) + c.
@@ -186,7 +170,8 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     for _ in range(hp.iht_iters):
         g *= -eta
         g += Z  # the gradient step Z - eta g, in g's buffer
-        S = support_rows(max_k_columns(g, hp.k), hp.k).T
+        # np.nonzero walks the transposed mask column by column of g
+        S = np.nonzero(top_k_mask(g, hp.k).T)[1].reshape(-1, hp.k)
         if S_prev is not None and np.array_equal(S, S_prev):
             if trace is not None:
                 trace.append(f_prev)
@@ -386,8 +371,9 @@ def update_Y(state: TrainerState, X: DataMatrix, hp: Hyperparams) -> np.ndarray:
 
 def init_state(X: DataMatrix, hp: Hyperparams, seed) -> TrainerState:
     """Seeded Gaussian dictionary W, its thresholded feature
-    max_k(W^T X) as the codes, zero split and dual."""
-    W = random_dictionary(X.n, hp.m, seed)
+    max_k(W^T X) as the codes, zero split and dual. seed is an integer of
+    at least 0."""
+    W = random_dictionary(X.n, hp.m, check_int(seed, "seed", least=0))
     Z = max_k_columns(W.data.T @ X.data, hp.k)
     return TrainerState(W=W, Z=SparseCodeBatch(Z, hp.k), Q=np.zeros_like(Z), Y=np.zeros_like(Z))
 

@@ -337,6 +337,12 @@ def test_ksvd_validation():
     for iters in (1.5, 2.0, "3"):
         with pytest.raises(TypeError, match="^iters=.* must be an integer$"):
             baselines.ksvd_train(X, 10, 2, iters=iters)
+    with pytest.raises(TypeError, match="^seed=True must be an integer$"):
+        baselines.ksvd_train(X, 10, 2, iters=1, seed=True)
+    with pytest.raises(ValueError, match="^seed=-1 must be at least 0$"):
+        baselines.ksvd_train(X, 10, 2, iters=1, seed=-1)
+    with pytest.raises(TypeError, match="^m=8.5 must be an integer$"):
+        baselines.ksvd_train(X, 8.5, 2, iters=1)
 
 
 def test_ksvd_codes_as_per_sample_omp(monkeypatch):

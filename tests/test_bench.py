@@ -66,6 +66,17 @@ def test_generate_synthetic_rejects_bad_noise_and_seed():
         bench.generate_synthetic(6, 8, 5, 2, 0.1, -1)
 
 
+@pytest.mark.parametrize("sizes, error, message", [
+    ((6, 8, -1), ValueError, "^N=-1 must be at least 1$"),
+    ((0, 8, 5), ValueError, "^n=0 must be at least 1$"),
+    ((6, 8.5, 5), TypeError, "^m=8.5 must be an integer$"),
+    ((6, 8, True), TypeError, "^N=True must be an integer$"),
+], ids=["N=-1", "n=0", "m=8.5", "N=True"])
+def test_generate_synthetic_names_a_bad_size(sizes, error, message):
+    with pytest.raises(error, match=message):
+        bench.generate_synthetic(*sizes, 2, 0.1, 0)
+
+
 def test_align_atoms_recovers_permutation():
     for seed in range(5):
         rng = np.random.default_rng(80 + seed)

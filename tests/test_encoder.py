@@ -73,6 +73,26 @@ def test_max_k_columns_consistent_with_vector():
                 assert out[:, i].tobytes() == encoder.max_k(M[:, i], k).tobytes()
 
 
+def test_top_k_mask_matches_stable_argsort():
+    # exactly k rows per column, the order a stable sort of -|M| gives:
+    # ties, an all-zero column and -0.0 entries go to the lower index
+    rng = np.random.default_rng(44)
+    m, N = 10, 40
+    M = np.round(rng.standard_normal((m, N)), 1)
+    M[rng.random(M.shape) < 0.2] = -0.0
+    M[:, 5] = 0.0
+    M[:, 6] = -0.0
+    M[[0, 9], 7] = [0.5, -0.5]
+    cols = np.arange(N)
+    for k in (1, 3, m):
+        mask = encoder.top_k_mask(M, k)
+        assert mask.dtype == bool and np.all(mask.sum(axis=0) == k)
+        want = np.zeros_like(mask)
+        want[np.argsort(-np.abs(M), axis=0, kind="stable")[:k], cols] = True
+        assert np.array_equal(mask, want), k
+        assert encoder.max_k_columns(M, k).tobytes() == np.where(mask, M, 0.0).tobytes()
+
+
 def test_encode_batch_shapes_and_sparsity():
     rng = np.random.default_rng(13)
     W = core.normalize_columns(rng.standard_normal((16, 24)))
@@ -95,8 +115,9 @@ def test_encode_batch_dimension_mismatch():
 
 @pytest.mark.parametrize("shape", [(6,), (2, 3, 4)])
 def test_max_k_columns_rejects_a_non_matrix(shape):
-    with pytest.raises(DimensionMismatch, match="^expected 2-d array, got shape "):
-        encoder.max_k_columns(np.ones(shape), 1)
+    for select in (encoder.max_k_columns, encoder.top_k_mask):
+        with pytest.raises(DimensionMismatch, match="^expected 2-d array, got shape "):
+            select(np.ones(shape), 1)
 
 
 def test_ave_dif_exact_zero():

@@ -24,6 +24,7 @@ def _data():
 NON_INTEGRAL_K = {
     "encode_batch": lambda: encoder.encode_batch(_dictionary(), _data(), 2.7),
     "max_k_columns": lambda: encoder.max_k_columns(np.ones((8, 3)), 2.7),
+    "top_k_mask": lambda: encoder.top_k_mask(np.ones((8, 3)), 2.7),
     "prox_k2": lambda: prox.prox_k2(np.ones(8), 1.5, 1.0),
     "k2_norm_sq": lambda: prox.k2_norm_sq([3.0, 2.0, 1.0], 1.5),
     "SparseCodeBatch": lambda: core.SparseCodeBatch(np.eye(8), 2.7),

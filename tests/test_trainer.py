@@ -342,9 +342,9 @@ def test_iht_step_is_at_most_099_over_largest_hessian_eigenvalue(monkeypatch):
 
     def recording_top_k(M, k):
         selected.append(M.copy())
-        return encoder.max_k_columns(M, k)
+        return encoder.top_k_mask(M, k)
 
-    monkeypatch.setattr(trainer, "max_k_columns", recording_top_k)
+    monkeypatch.setattr(trainer, "top_k_mask", recording_top_k)
     trainer.update_Z(state, X, hp)
     assert len(selected) == 1
     step = Z0 - selected[0]
@@ -405,27 +405,10 @@ def test_update_z_on_its_own_output_stops_after_one_step(monkeypatch):
         assert Z.data.tobytes() == state.Z.data.tobytes()
 
 
-def test_support_rows_matches_stable_argsort():
-    rng = np.random.default_rng(44)
-    m, N = 10, 40
-    for k in (1, 3, m):
-        Z = encoder.max_k_columns(rng.standard_normal((m, N)), k)
-        Z[:, 5] = 0.0  # all zero
-        Z[rng.choice(m, 2, replace=False), 6] = -0.0  # signed zeros
-        Z[:, 7] = 0.0
-        Z[2, 7] = 1.0  # fewer than k nonzeros when k > 1
-        Z[:, 8] = -0.0
-        Z[[0, 9], 9] = [0.5, -0.0]
-        for cols in (slice(None), slice(10, None), slice(5, 10)):
-            Zc = np.ascontiguousarray(Z[:, cols])
-            want = np.argsort(Zc == 0, axis=0, kind="stable")[:k]
-            assert np.array_equal(trainer.support_rows(Zc, k), want), (k, cols)
-
-
 @pytest.mark.filterwarnings("error")
 def test_train_keeps_all_zero_data_columns_at_zero_codes():
-    # a zero data column has a zero thresholded step, so support_rows fills
-    # its support with zero rows and the solve on them returns zeros
+    # a zero data column has a zero thresholded step, so top_k_mask gives
+    # it rows 0..k-1 and the solve on them returns zeros
     inst = bench.generate_synthetic(16, 24, 50, 3, 0.1, 0)
     Xd = inst.X.data.copy()
     Xd[:, [4, 9]] = 0.0
@@ -783,6 +766,16 @@ def test_train_deterministic_and_invariant():
                     "z_ms", "q_ms", "w_ms", "y_ms", "wall_ms"):
             assert key in rec
         assert rec["max_colnorm_dev"] <= 1e-8
+
+
+@pytest.mark.parametrize("seed, error, message", [
+    (True, TypeError, "^seed=True must be an integer$"),
+    (-3, ValueError, "^seed=-3 must be at least 0$"),
+], ids=["True", "-3"])
+def test_train_names_a_bad_seed(seed, error, message):
+    X = DataMatrix(np.random.default_rng(0).standard_normal((6, 10)))
+    with pytest.raises(error, match=message):
+        trainer.train(X, trainer.Hyperparams(m=8, k=2, outer_iters=1), seed=seed)
 
 
 def test_train_seed_changes_result():
