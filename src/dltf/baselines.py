@@ -20,8 +20,6 @@ from .errors import DimensionMismatch, SingularSubproblem, check_int, check_k
 
 RIDGE = 1e-12
 RESIDUAL_FLOOR = 1e-10
-POWER_ITERS = 50
-POWER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -178,37 +176,17 @@ def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
     return Z.T
 
 
-def _dominant_pair(R: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dominant singular pair of the small residual block R (n x uses)
-    by alternating power iteration, started from v0: at most POWER_ITERS
-    steps, stopping once u moves less than POWER_TOL.
-    Returns (u, s*v) with u unit-norm.
-    """
-    # v0 may be a strided column, which np.linalg.norm copies before its
-    # dot; a dot on the strided view sums in another order
-    u = v0 / max(np.linalg.norm(v0), 1e-300)
-    for _ in range(POWER_ITERS):
-        v = R.T @ u
-        u_new = R @ v
-        nrm = math.sqrt(u_new.dot(u_new))
-        if nrm < 1e-300:
-            return u, R.T @ u
-        u_new /= nrm
-        d = u_new - u
-        if math.sqrt(d.dot(d)) < POWER_TOL:
-            u = u_new
-            break
-        u = u_new
-    return u, R.T @ u
-
-
 def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
                seed: int = 0) -> core.Dictionary:
     """K-SVD dictionary learning with OMP sparse coding.
 
     Each sweep recodes X with omp_batch, then updates atoms one at a time
-    by the dominant singular pair of the residual restricted to the
-    samples using that atom. Codes and residual keep samples as rows: an
+    by one alternating step on the residual R restricted to the samples
+    using that atom, started from the atom's codes g (approximate K-SVD,
+    Rubinstein, Zibulevsky & Elad 2008): the atom becomes Rg / ‖Rg‖ and
+    its codes Rᵀ times it, a rank-1 refit that cannot raise ‖R‖. The
+    next sweep recodes every sample, so the pair is not refined to R's
+    dominant singular pair. Codes and residual keep samples as rows: an
     atom's update gathers the rows of its samples into a contiguous
     n x uses block and scatters the updated block back. Unused atoms take
     the samples worst represented at the start of the sweep, in order,
@@ -244,12 +222,14 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
                 continue
             # residual block (n x uses, contiguous) with atom j's
             # contribution restored; the sweep reads no code of atom j again
+            g = Z[uses, j]
             Rj = E[uses].T.copy()
-            Rj += W[:, j, None] * Z[uses, j]
-            u, sv = _dominant_pair(Rj, W[:, j])
-            nz = np.flatnonzero(u)
-            if nz.size and u[nz[0]] < 0:
-                u, sv = -u, -sv
+            Rj += W[:, j, None] * g
+            u = Rj @ g
+            nrm = math.sqrt(u.dot(u))
+            if nrm < 1e-300:  # the atom stays as it is
+                continue
+            u /= nrm
             W[:, j] = u
-            E[uses] = (Rj - u[:, None] * sv).T
+            E[uses] = (Rj - u[:, None] * (Rj.T @ u)).T
     return core.normalize_columns(W)

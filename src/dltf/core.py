@@ -200,9 +200,15 @@ def dictionary_from_json(obj: dict) -> Dictionary:
         n, m = check_int(n, "n", least=1), check_int(m, "m", least=1)
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"JSON dictionary field {exc}") from None
+    if not isinstance(flat, list):
+        raise FileFormatError(
+            f"JSON dictionary data must be a flat list of numbers, got {type(flat).__name__}")
+    for entry in flat:
+        # np.asarray would read "1.0" and true as 1.0, and null as NaN
+        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise FileFormatError(
+                f"JSON dictionary data must be a flat list of numbers, got entry {entry!r:.40}")
     flat = np.asarray(flat, dtype=np.float64)
-    if flat.ndim != 1:
-        raise FileFormatError(f"JSON dictionary data must be a flat list, got shape {flat.shape}")
     if flat.size != n * m:
         raise DimensionMismatch(f"JSON dictionary promises {n}x{m}, data has {flat.size} entries")
     return Dictionary(flat.reshape((n, m), order="C"))

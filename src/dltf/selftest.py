@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prox
-from .errors import check_int
+from .errors import check_int, check_real
 
 PAD_M = 10
 GAMMA_CHOICES = (0.0, 0.1, 1.0, 10.0)
@@ -31,8 +31,10 @@ class ProxInstance:
 def random_instances(count: int, seed: int) -> list[ProxInstance]:
     """Instances with m <= PAD_M, k' in [1, m], gamma cycling through
     GAMMA_CHOICES, and coefficient scales spanning three decades.
+    ValueError unless count is at least 1 and seed at least 0.
     """
-    rng = np.random.default_rng(seed)
+    check_int(count, "count", least=1)
+    rng = np.random.default_rng(check_int(seed, "seed", least=0))
     out = []
     for i in range(count):
         m = int(rng.integers(1, PAD_M + 1))
@@ -58,9 +60,11 @@ def subgradient_best(instances: list[ProxInstance], total_iters: int = 100_000,
     is. So they run behind the others, and only the gamma > 0 rows are
     sorted and summed. The sum of the k' largest squares is a running sum
     over the descending order: the same additions, in the same order, as
-    a cumsum along the row.
+    a cumsum along the row. ValueError unless total_iters is at least 1
+    and seed at least 0.
     """
-    rng = np.random.default_rng(seed)
+    check_int(total_iters, "total_iters", least=1)
+    rng = np.random.default_rng(check_int(seed, "seed", least=0))
     B = len(instances)
     R = B * STARTS
     C = np.zeros((R, PAD_M))
@@ -117,8 +121,12 @@ def subgradient_best(instances: list[ProxInstance], total_iters: int = 100_000,
 
 def direction_sweep_margin(inst: ProxInstance, q: np.ndarray, ndirs: int,
                            eps: float, seed: int) -> float:
-    """Smallest objective increase over random unit perturbations of q."""
-    rng = np.random.default_rng(seed)
+    """Smallest objective increase over random unit perturbations of q,
+    each of length eps. ValueError unless ndirs is at least 1, eps
+    positive and seed at least 0."""
+    check_int(ndirs, "ndirs", least=1)
+    check_real(eps, "eps", positive=True)
+    rng = np.random.default_rng(check_int(seed, "seed", least=0))
     D = rng.standard_normal((ndirs, inst.c.size))
     D /= np.linalg.norm(D, axis=1, keepdims=True)
     base = prox.prox_objective(q, inst.c, inst.kprime, inst.gamma)
@@ -140,9 +148,8 @@ def oracle_equivalence_suite(count: int = 1000, seed: int = 12345,
     at the 1e-9 / -1e-10 thresholds. ValueError unless count, total_iters
     and ndirs are all at least 1 and seed at least 0.
     """
-    for name, value in (("count", count), ("total_iters", total_iters), ("ndirs", ndirs)):
-        check_int(value, name, least=1)
-    check_int(seed, "seed", least=0)
+    # the helpers check the rest; ndirs is first read after the oracle's long run
+    check_int(ndirs, "ndirs", least=1)
     instances = random_instances(count, seed)
     oracle = subgradient_best(instances, total_iters=total_iters, seed=seed + 1)
     max_gap = -np.inf

@@ -124,39 +124,6 @@ def test_omp_matches_norm_reference_byte_for_byte():
     assert stops[:2] == [2, 0]
 
 
-def _dominant_pair_reference(R, v0):
-    """_dominant_pair with every norm taken by np.linalg.norm."""
-    u = v0 / max(np.linalg.norm(v0), 1e-300)
-    for _ in range(baselines.POWER_ITERS):
-        v = R.T @ u
-        u_new = R @ v
-        nrm = np.linalg.norm(u_new)
-        if nrm < 1e-300:
-            return u, R.T @ u
-        u_new /= nrm
-        if np.linalg.norm(u_new - u) < baselines.POWER_TOL:
-            u = u_new
-            break
-        u = u_new
-    return u, R.T @ u
-
-
-def test_dominant_pair_matches_norm_reference_byte_for_byte():
-    # a dot on a strided column sums in another order than norm's copy
-    # does; for about one column in five the bytes differ
-    rng = np.random.default_rng(51)
-    W = rng.standard_normal((64, 40))
-    a = rng.standard_normal(64)
-    blocks = [rng.standard_normal((64, 5)), rng.standard_normal((64, 40)),
-              np.outer(a, rng.standard_normal(3)), np.zeros((64, 2))]
-    for R in blocks:
-        for j in range(W.shape[1]):
-            v0 = W[:, j]  # a strided column, as ksvd_train passes it
-            got = baselines._dominant_pair(R, v0)
-            want = _dominant_pair_reference(R, v0)
-            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-
-
 def _omp_per_sample(W, X, k):
     """Every column of X coded by its own omp call: omp_batch's reference."""
     return np.column_stack([baselines.omp(W, x, k).code for x in X.data.T])
@@ -322,6 +289,53 @@ def test_ksvd_handles_unused_atoms():
     W = baselines.ksvd_train(X, m, k, iters=2, seed=8)
     assert np.all(np.isfinite(W.data))
     assert np.max(np.abs(np.linalg.norm(W.data, axis=0) - 1.0)) <= 1e-12
+
+
+def _ksvd_sweep_reference(X, m, k, seed):
+    """One approximate K-SVD sweep in plain loops, from ksvd_train's start.
+
+    Each used atom's residual is recomputed from X, W and the codes
+    updated so far; the atom takes one alternating step from its codes g,
+    W[:, j] = Rg / ||Rg|| and codes R^T W[:, j]. Unused atoms are reseeded
+    as ksvd_train does. Returns W and the residual's Frobenius norm before
+    the sweep and after each atom.
+    """
+    Xd = X.data
+    n, N = Xd.shape
+    W = core.random_dictionary(n, m, seed).data.copy()
+    Z = _omp_per_sample(core.Dictionary(W), X, k)
+    order = np.argsort(-np.linalg.norm(Xd - W @ Z, axis=0))
+    norms = [np.linalg.norm(Xd - W @ Z)]
+    reseeds = 0
+    for j in range(m):
+        uses = [i for i in range(N) if Z[j, i] != 0.0]
+        if not uses:
+            col = Xd[:, order[reseeds] if reseeds < N else order[0]]
+            reseeds += 1
+            if np.linalg.norm(col) > 1e-12:
+                W[:, j] = col / np.linalg.norm(col)
+        else:
+            g = Z[j, uses]
+            R = Xd[:, uses] - W @ Z[:, uses] + np.outer(W[:, j], g)
+            if np.linalg.norm(R @ g) >= 1e-300:
+                W[:, j] = R @ g / np.linalg.norm(R @ g)
+                Z[j, uses] = R.T @ W[:, j]
+        norms.append(np.linalg.norm(Xd - W @ Z))
+    return W, norms
+
+
+def test_ksvd_sweep_matches_plain_loop_reference():
+    # six samples and k=2 use at most 12 of 30 atoms: reseeds run past
+    # the last sample and wrap to the worst one
+    rng = np.random.default_rng(48)
+    for n in (8, 16):
+        X = DataMatrix(rng.standard_normal((n, 6)))
+        W_ref, norms = _ksvd_sweep_reference(X, 30, 2, seed=3)
+        # each step is a rank-1 refit, and a reseed touches no code
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
+        assert norms[-1] < norms[0]
+        W = baselines.ksvd_train(X, 30, 2, iters=1, seed=3)
+        assert np.max(np.abs(W.data - core.normalize_columns(W_ref).data)) <= 1e-12
 
 
 def test_ksvd_validation():

@@ -143,10 +143,13 @@ def test_json_roundtrip_row_major(tmp_path):
 
 @pytest.mark.parametrize("n, m, data", [
     (2, 2, [[1, 0], [0, 1]]), (2, 2, [[1, 0, 0, 1]]), (1, 1, 1.0),
+    (1, 1, ["1.0"]), (1, 1, [True]), (1, 1, {"a": 1}), (1, 1, [None]),
+    (2, 1, [1.0, "x"]),
 ])
 def test_json_data_must_be_a_flat_list(n, m, data):
-    # a nested list of the right size would otherwise be reshaped silently
-    with pytest.raises(FileFormatError, match="data must be a flat list"):
+    # a nested list of the right size would otherwise be reshaped silently,
+    # and "1.0" or true read as 1.0
+    with pytest.raises(FileFormatError, match="data must be a flat list of numbers"):
         core.dictionary_from_json({"n": n, "m": m, "data": data})
 
 

@@ -505,3 +505,30 @@ def test_oracle_equivalence_suite_rejects_empty_budgets(bad):
 def test_oracle_equivalence_suite_rejects_negative_seed():
     with pytest.raises(ValueError, match="^seed=-1 must be at least 0$"):
         selftest.oracle_equivalence_suite(count=2, seed=-1, total_iters=50, ndirs=5)
+
+
+_INST = selftest.ProxInstance(c=np.array([1.0, -2.0]), kprime=1, gamma=0.1)
+_HELPER_CASES = [
+    ("random_instances", (2, -1), ValueError, "seed=-1 must be at least 0"),
+    ("random_instances", (-1, 0), ValueError, "count=-1 must be at least 1"),
+    ("random_instances", (0, 0), ValueError, "count=0 must be at least 1"),
+    ("random_instances", (2.0, 0), TypeError, "count=2.0 must be an integer"),
+    ("subgradient_best", ([_INST], 0), ValueError, "total_iters=0 must be at least 1"),
+    ("subgradient_best", ([_INST], 50, -2), ValueError, "seed=-2 must be at least 0"),
+    ("direction_sweep_margin", (_INST, _INST.c, 0, 1e-5, 0), ValueError,
+     "ndirs=0 must be at least 1"),
+    ("direction_sweep_margin", (_INST, _INST.c, 5, 0.0, 0), ValueError,
+     "eps=0.0 must be positive"),
+    ("direction_sweep_margin", (_INST, _INST.c, 5, -1e-5, 0), ValueError,
+     "eps=-1e-05 must be positive"),
+    ("direction_sweep_margin", (_INST, _INST.c, 5, 1e-5, -1), ValueError,
+     "seed=-1 must be at least 0"),
+]
+
+
+@pytest.mark.parametrize("helper, args, error, message", _HELPER_CASES,
+                         ids=[f"{case[0]}-{case[3].split()[0]}" for case in _HELPER_CASES])
+def test_oracle_equivalence_suite_rejects_bad_helper_arguments(helper, args, error, message):
+    # the suite's rules hold when a helper is called on its own
+    with pytest.raises(error, match=f"^{message}$"):
+        getattr(selftest, helper)(*args)
