@@ -4,8 +4,9 @@ Provides orthogonal matching pursuit in two forms. `omp` codes one
 sample; it is the per-sample baseline that criterion 7 and `dltf timing`
 time. `omp_batch` gives every column of a batch the code omp would, with
 all samples in lockstep (Batch OMP), and is K-SVD's coder. Also the
-stacked least-squares solve on given supports, `solve_on_supports`, that
-the trainer's code step (hard thresholding pursuit) makes.
+least-squares solve on given supports, `solve_on_supports`, that the
+trainer's code step (hard thresholding pursuit) makes, on the same
+samples-last Cholesky factor as omp_batch.
 """
 
 from __future__ import annotations
@@ -71,17 +72,41 @@ def omp(W: core.Dictionary, x: np.ndarray, k: int) -> OmpResult:
                      atoms=tuple(picked[:j].tolist()))
 
 
+def _grow(L, y, j, g, d, r):
+    """Grow the samples-last Cholesky factor L (s x s x N) of A + RIDGE·I
+    of N systems by row j, and y = L⁻¹r by entry j: w = L⁻¹A_Sa by forward
+    substitution, with g = A_Sa (j x N), and the pivot √(A_aa + RIDGE − wᵀw),
+    with d = A_aa and r entry j of the right-hand sides (both length N).
+    A pivot that is not positive and finite raises SingularSubproblem."""
+    w = L[j, :j]
+    for i in range(j):
+        w[i] = (g[i] - np.einsum("ln,ln->n", L[i, :i], w[:i])) / L[i, i]
+    pivot = d + RIDGE - np.einsum("ln,ln->n", w, w)
+    if not np.all(np.isfinite(pivot) & (pivot > 0.0)):
+        raise SingularSubproblem(f"normal equations singular on a support of size {j + 1}")
+    L[j, j] = np.sqrt(pivot)
+    y[j] = (r - np.einsum("ln,ln->n", w, y[:j])) / L[j, j]
+
+
+def _back(L, y):
+    """L⁻ᵀy by backward substitution, for samples-last L (s x s x N), y (s x N)."""
+    x = np.empty_like(y)
+    for i in range(y.shape[0] - 1, -1, -1):
+        x[i] = (y[i] - np.einsum("ln,ln->n", L[i + 1:, i], x[i + 1:])) / L[i, i]
+    return x
+
+
 def solve_on_supports(M: np.ndarray, S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (M_SS + RIDGE I) x = r for all N columns in one stacked solve,
-    with column i's support S and right-hand side r in row i of S and rhs
-    (both N x s). The ridge keeps the solve defined when two atoms on a
-    support coincide; a singular system raises SingularSubproblem."""
-    A = M[S[:, :, None], S[:, None, :]] + RIDGE * np.eye(S.shape[1])
-    try:
-        return np.linalg.solve(A, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSubproblem(
-            f"normal equations singular on a support of size {S.shape[1]}") from exc
+    """Solve (M_SS + RIDGE I) x = r for all N columns at once, with column
+    i's support S and right-hand side r in row i of S and rhs (both
+    N x s), on the samples-last Cholesky factor omp_batch grows. The
+    ridge keeps the solve defined when two atoms on a support coincide;
+    a singular system raises SingularSubproblem."""
+    St, rt = S.T, rhs.T
+    L, y = np.zeros((len(St), *St.shape)), np.empty(St.shape)
+    for j in range(len(St)):
+        _grow(L, y, j, M[St[:j], St[j]], M[St[j], St[j]], rt[j])
+    return _back(L, y).T
 
 
 def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
@@ -94,12 +119,9 @@ def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
     makes ZG into it, and every step runs one body: the screen below,
     then |C − ZG| in the buffer, where argmax along each row picks the
     next atom (the sample's picked atoms masked by index, the lowest
-    index winning ties). Each sample keeps the Cholesky factor L of
-    G_SS + RIDGE·I and grows it by one row per step:
-    w = L⁻¹G_Sa by forward substitution, vectorized over the samples, and
-    the pivot √(G_aa + RIDGE − wᵀw); a pivot that is not positive and
-    finite raises SingularSubproblem. The coefficients then take two
-    triangular sweeps, forward (one new entry per step) and backward.
+    index winning ties). Each sample's Cholesky factor of G_SS + RIDGE·I
+    grows by one row per step (_grow, with the forward sweep's new entry),
+    and the coefficients take the backward sweep (_back).
 
     A sample leaves once its explicit residual ‖x − Wz‖ is below omp's
     floor, so supports and stops are omp's. The residual is formed only
@@ -158,18 +180,8 @@ def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
         P[rows, S] = -1.0
         a = P.argmax(axis=1)
         picked[j] = a
-        g, w = G[S, a], L[j, :j]
-        for i in range(j):
-            w[i] = (g[i] - np.einsum("ln,ln->n", L[i, :i], w[:i])) / L[i, i]
-        pivot = G[a, a] + RIDGE - np.einsum("ln,ln->n", w, w)
-        if not np.all(np.isfinite(pivot) & (pivot > 0.0)):
-            raise SingularSubproblem(
-                f"normal equations singular on a support of size {j + 1}")
-        L[j, j] = np.sqrt(pivot)
-        y[j] = (C[rows, a] - np.einsum("ln,ln->n", w, y[:j])) / L[j, j]
-        coef = np.empty((j + 1, live.size))
-        for i in range(j, -1, -1):
-            coef[i] = (y[i] - np.einsum("ln,ln->n", L[i + 1:j + 1, i], coef[i + 1:])) / L[i, i]
+        _grow(L, y, j, G[S, a], G[a, a], C[rows, a])
+        coef = _back(L[:j + 1, :j + 1], y[:j + 1])
         Zl[rows, picked[:j + 1]] = coef
     if Zl is not Z:
         Z[live] = Zl

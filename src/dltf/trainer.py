@@ -8,7 +8,7 @@ updates per round:
 
     Z: hard thresholding pursuit on the smooth part (a gradient step of
        0.99/L, with L the exact largest eigenvalue of its Hessian, picks
-       each column's top k rows; one stacked solve fits them exactly; a
+       each column's top k rows; one batched solve fits them exactly; a
        step that repeats the previous step's rows ends the loop unsolved),
     Q: per-column prox of the squared (2k,2) norm (gamma = lambda/beta),
     W: Riemannian descent on the product of spheres (the short
@@ -128,9 +128,9 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     eigenvalue of H, computed exactly (eigvalsh), takes the top k rows S of
     every column of the result, in ascending order, from the encoder's own
     selection (top_k_mask), and solves each column's quadratic on its
-    rows exactly, H_SS z_S = -b_S, for all columns in one stacked solve
-    (baselines.solve_on_supports). The value comes from
-    the same g, as f(Z) = 1/2 (<Z, g> + <Z, b>) + c.
+    rows exactly, H_SS z_S = -b_S, for all columns at once on the
+    samples-last Cholesky factor of Batch OMP (baselines.solve_on_supports).
+    The value comes from the same g, as f(Z) = 1/2 (<Z, g> + <Z, b>) + c.
 
     The inner loop starts from the current codes (init_state's are the
     thresholded feature). Its value is non-increasing across steps, since

@@ -245,6 +245,25 @@ def test_solve_on_supports_matches_per_column_solves():
         assert np.allclose(x[i], np.linalg.solve(A, rhs[i]), rtol=1e-12, atol=0)
 
 
+def test_solve_on_supports_is_batch_omps_solve():
+    # the code step's solve runs on Batch OMP's factor: on omp's supports,
+    # in pick order, both give the same coefficients bit for bit
+    rng = np.random.default_rng(53)
+    W = core.random_dictionary(64, 128, seed=13)
+    X = DataMatrix(rng.standard_normal((64, 300)))
+    S = np.array([baselines.omp(W, x, 8).atoms for x in X.data.T])
+    G, C = W.data.T @ W.data, X.data.T @ W.data
+    cols = np.arange(300)[:, None]
+    x = baselines.solve_on_supports(G, S, C[cols, S])
+    assert np.array_equal(x, baselines.omp_batch(W, X, 8).T[cols, S])
+    # its own pivot check raises: negative pivots, then NaN ones
+    nan_diagonal = G.copy()
+    np.fill_diagonal(nan_diagonal, np.nan)
+    for M in (-G, nan_diagonal):
+        with pytest.raises(SingularSubproblem, match="singular on a support of size 1$"):
+            baselines.solve_on_supports(M, S, C[cols, S])
+
+
 def _ksvd_instance(seed):
     rng = np.random.default_rng(300 + seed)
     n, m, N, k = 16, 24, 400, 3

@@ -235,13 +235,30 @@ def test_range_rules_live_in_errors():
 
 
 def test_ridge_is_read_only_in_baselines():
-    # baselines.solve_on_supports is the one stacked support solve: no
-    # other module picks its own ridge for the normal equations
+    # baselines' samples-last Cholesky factor is the one batched support
+    # solve: no other module picks its own ridge for the normal equations
     found = [f"{name}:{node.lineno}" for name, tree in _trees().items() if name != "baselines.py"
              for node in ast.walk(tree)
              if getattr(node, "id", None) == "RIDGE" or getattr(node, "attr", None) == "RIDGE"
              or isinstance(node, ast.alias) and node.name == "RIDGE"]
     assert not found, found
+
+
+LINEAR_SOLVERS = {"solve", "cholesky", "lstsq", "inv", "pinv"}
+
+
+def test_only_omp_calls_a_numpy_linear_solver():
+    # batched solves on supports grow baselines' own Cholesky factor; the
+    # per-sample omp baseline keeps its one np.linalg.solve per step
+    calls = []
+    for name, tree in _trees().items():
+        owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        calls += [f"{name}:{owner.get(id(node))}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in LINEAR_SOLVERS
+                  and ast.unparse(node.func.value) in ("np.linalg", "numpy.linalg")]
+    assert calls == ["baselines.py:omp"], calls
 
 
 def _subtracts_from_x(node):

@@ -192,24 +192,25 @@ def test_update_z_trace_ends_at_smooth_part_of_lagrangian():
         assert abs(trace[-1] - expected) <= 1e-12 * abs(expected)
 
 
-def _ascending_solve(A, B):
-    return np.full_like(B, 100.0)
+def _ascending_solve(M, S, rhs):
+    return np.full_like(rhs, 100.0)
 
 
-def _singular_solve(A, B):
-    raise np.linalg.LinAlgError("Singular matrix")
+def _singular_solve(M, S, rhs):
+    # -M's pivots are negative: the library's own check raises
+    return baselines.solve_on_supports(-M, S, rhs)
 
 
 def _check_code_step_raises_and_exits_two(monkeypatch, tmp_path, solve, error):
-    """Under a patched np.linalg.solve, update_Z raises error and
-    `dltf train` exits with code 2."""
+    """Under a patched trainer.solve_on_supports, update_Z raises error
+    and `dltf train` exits with code 2."""
     rng = np.random.default_rng(36)
     hp = trainer.Hyperparams(m=12, k=2)
     state = _random_state(rng, 8, 12, 25, 2)
     X = _data(rng, 8, 25)
     data_path = str(tmp_path / "X.dltx")
     core.save_data_matrix(X, data_path)
-    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(trainer, "solve_on_supports", solve)
     with pytest.raises(error):
         trainer.update_Z(state, X, hp)
     code = cli.main(["train", "--data", data_path, "--m", "12", "--k", "2",
@@ -232,7 +233,7 @@ def test_update_z_ascent_raises_under_optimize():
         "import numpy as np\n"
         "from dltf import core, trainer\n"
         "from dltf.errors import MonotonicityViolated\n"
-        "np.linalg.solve = lambda A, B: np.full_like(B, 100.0)\n"
+        "trainer.solve_on_supports = lambda M, S, rhs: np.full_like(rhs, 100.0)\n"
         "rng = np.random.default_rng(37)\n"
         "X = core.DataMatrix(rng.standard_normal((8, 25)))\n"
         "hp = trainer.Hyperparams(m=12, k=2)\n"
