@@ -167,9 +167,9 @@ def omp_batch(W: core.Dictionary, X: core.DataMatrix, k: int) -> np.ndarray:
                 Z[live[stop]] = Zl[stop]
                 keep = np.ones(live.size, dtype=bool)
                 keep[stop] = False
-                live, C, Zl, P, picked, L, y, coef, xx = (
+                live, C, Zl, P, picked, L, y, xx = (
                     live[keep], C[keep], Zl[keep], P[keep], picked[:, keep],
-                    L[:, :, keep], y[:, keep], coef[:, keep], xx[keep])
+                    L[:, :, keep], y[:, keep], xx[keep])
                 if live.size == 0:
                     return Z.T
                 rows = np.arange(live.size)
@@ -229,7 +229,7 @@ def ksvd_train(X: core.DataMatrix, m: int, k: int, iters: int = 30,
                 col = X.data[:, order[reseeds] if reseeds < order.size else order[0]]
                 reseeds += 1
                 nrm = np.linalg.norm(col)
-                if nrm > 1e-12:
+                if nrm > core.ZERO_NORM_FLOOR:
                     W[:, j] = col / nrm
                 continue
             # residual block (n x uses, contiguous) with atom j's

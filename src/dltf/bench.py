@@ -256,16 +256,16 @@ def run_param_sweep(cfg: BenchConfig, param: str, grid: list[float]) -> list[dic
 ENCODE_REPEATS = 5
 
 
-def timing_compare(cfg: BenchConfig, k: int | None = None) -> dict:
+def timing_compare(cfg: BenchConfig) -> dict:
     """Wall-clock for one batched thresholded encode versus per-sample OMP
-    (one baselines.omp call per test column) on the same test set.
-    Reports the ratio; absolute numbers are hardware-specific.
+    (one baselines.omp call per test column) on the same test set, at
+    cfg.k_list[0]. Reports the ratio; absolute numbers are hardware-specific.
 
     The encode time is the median of ENCODE_REPEATS calls made after one
     untimed warm-up call, so first-call costs do not count against it.
     OMP is timed once: its per-sample loop is long enough to be stable.
     """
-    k = cfg.k_list[0] if k is None else k
+    k = cfg.k_list[0]
     inst = generate_synthetic(cfg.n, cfg.m, cfg.N_test, k, cfg.noise_std,
                               cfg.seeds[0])
     encoder.encode_batch(inst.W0, inst.X, k)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prox
-from .errors import check_int, check_real
+from .errors import check_int
 
 PAD_M = 10
 GAMMA_CHOICES = (0.0, 0.1, 1.0, 10.0)
@@ -120,18 +120,17 @@ def subgradient_best(instances: list[ProxInstance], total_iters: int = 100_000,
 
 
 def direction_sweep_margin(inst: ProxInstance, q: np.ndarray, ndirs: int,
-                           eps: float, seed: int) -> float:
+                           seed: int) -> float:
     """Smallest objective increase over random unit perturbations of q,
-    each of length eps. ValueError unless ndirs is at least 1, eps
-    positive and seed at least 0."""
+    each of length SWEEP_EPS. ValueError unless ndirs is at least 1 and
+    seed at least 0."""
     check_int(ndirs, "ndirs", least=1)
-    check_real(eps, "eps", positive=True)
     rng = np.random.default_rng(check_int(seed, "seed", least=0))
     D = rng.standard_normal((ndirs, inst.c.size))
     D /= np.linalg.norm(D, axis=1, keepdims=True)
     base = prox.prox_objective(q, inst.c, inst.kprime, inst.gamma)
     # Summed in prox_objective's order, so each value matches it bit for bit.
-    P = q + eps * D
+    P = q + SWEEP_EPS * D
     p = P.shape[1] - inst.kprime
     sq = np.partition(P * P, p, axis=1)[:, p:] if p else P * P
     diff = P - inst.c
@@ -159,7 +158,7 @@ def oracle_equivalence_suite(count: int = 1000, seed: int = 12345,
         val = prox.prox_objective(q, inst.c, inst.kprime, inst.gamma)
         max_gap = max(max_gap, val - oracle[i])
         min_margin = min(min_margin,
-                         direction_sweep_margin(inst, q, ndirs, SWEEP_EPS, seed + 2 + i))
+                         direction_sweep_margin(inst, q, ndirs, seed + 2 + i))
     return {
         "count": count,
         "max_gap": float(max_gap),

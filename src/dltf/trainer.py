@@ -34,19 +34,23 @@ from typing import ClassVar
 import numpy as np
 
 from .baselines import solve_on_supports
-from .core import (DataMatrix, Dictionary, SparseCodeBatch, as_finite_array, normalize_columns,
-                   random_dictionary)
+from .core import (ZERO_NORM_FLOOR, DataMatrix, Dictionary, SparseCodeBatch, as_finite_array,
+                   normalize_columns, random_dictionary)
 from .encoder import max_k_columns, top_k_mask
 from .errors import (DimensionMismatch, LineSearchFailed, MonotonicityViolated, check_int, check_k,
                      check_real)
 from .prox import k2_norm_sq, prox_k2
 
+IHT_ITERS = 50  # code steps per round at most
+W_ITERS = 30  # dictionary steps per round at most
+
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Trainer knobs. beta must be positive; lam and theta finite and
-    nonnegative; the iteration counts integers of at least 1. primal_tol,
-    the relative primal-residual stop, is a constant, not a field."""
+    """Trainer settings, the ones `dltf train` exposes. beta must be
+    positive; lam and theta finite and nonnegative; outer_iters an integer
+    of at least 1. primal_tol, the relative primal-residual stop, is a
+    constant, not a field, as are the inner caps IHT_ITERS and W_ITERS."""
 
     m: int
     k: int
@@ -54,8 +58,6 @@ class Hyperparams:
     theta: float = 0.01
     beta: float = 1.0
     outer_iters: int = 30
-    iht_iters: int = 50
-    w_iters: int = 30
     primal_tol: ClassVar[float] = 1e-5
 
     def __post_init__(self):
@@ -64,8 +66,7 @@ class Hyperparams:
         check_real(self.beta, "beta", positive=True)
         for name in ("lam", "theta"):
             check_real(getattr(self, name), name)
-        for name in ("outer_iters", "iht_iters", "w_iters"):
-            check_int(getattr(self, name), name, least=1)
+        check_int(self.outer_iters, "outer_iters", least=1)
 
     @property
     def kprime(self) -> int:
@@ -167,7 +168,7 @@ def update_Z(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     if trace is not None:
         trace.append(f_prev)
     S_prev = None
-    for _ in range(hp.iht_iters):
+    for _ in range(IHT_ITERS):
         g *= -eta
         g += Z  # the gradient step Z - eta g, in g's buffer
         # np.nonzero walks the transposed mask column by column of g
@@ -291,7 +292,7 @@ def _retract(W: np.ndarray, direction: np.ndarray, tau: float):
     """Step then renormalize columns; None when a column collapses."""
     A = W - tau * direction
     norms = np.linalg.norm(A, axis=0)
-    if np.min(norms) < 1e-12:
+    if np.min(norms) < ZERO_NORM_FLOOR:
         return None
     return A / norms
 
@@ -301,11 +302,11 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     """Dictionary update: projected-gradient descent on the product of
     spheres with the short Barzilai-Borwein step |s^T y| / y^T y and
     nonmonotone backtracking (reference value = max of the last five
-    accepted objectives). It stops after w_iters steps, once the
+    accepted objectives). It stops after W_ITERS steps, once the
     projected gradient's norm falls below 1e-6, or after an accepted step
     that lowered the best value so far by less than 1e-6 |f_new| (an
     inexact subproblem solve, as ADMM allows). Up to that stop its
-    iterates are those of the run to the w_iters cap.
+    iterates are those of the run to the W_ITERS cap.
 
     The objective never exceeds its input value plus the nonmonotone
     allowance (MonotonicityViolated otherwise). If backtracking exhausts
@@ -322,7 +323,7 @@ def update_W(state: TrainerState, X: DataMatrix, hp: Hyperparams,
     pg = _project_tangent(W, g)
     pg_sq = float((pg * pg).sum())
     tau = 1.0 / (1.0 + math.sqrt(pg_sq))
-    for _ in range(hp.w_iters):
+    for _ in range(W_ITERS):
         if math.sqrt(pg_sq) < 1e-6:
             break
         ref = max(hist[-5:])

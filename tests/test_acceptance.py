@@ -220,7 +220,7 @@ def test_criterion_6_trainer_numerics(capsys):
     for seed in range(10):
         rng = np.random.default_rng(np.random.SeedSequence([607, seed]))
         X = DataMatrix(rng.standard_normal((8, 20)))
-        hp = trainer.Hyperparams(m=12, k=3, iht_iters=40)
+        hp = trainer.Hyperparams(m=12, k=3)
         state = trainer.init_state(X, hp, seed=seed)
         state.Q = rng.standard_normal((12, 20))
         state.Y = rng.standard_normal((12, 20))
@@ -236,8 +236,7 @@ def test_criterion_6_trainer_numerics(capsys):
     for seed in range(3):
         rng = np.random.default_rng(np.random.SeedSequence([608, seed]))
         X = DataMatrix(rng.standard_normal((10, 30)))
-        hp = trainer.Hyperparams(m=14, k=3, outer_iters=5, iht_iters=15,
-                                 w_iters=10)
+        hp = trainer.Hyperparams(m=14, k=3, outer_iters=5)
         state = trainer.init_state(X, hp, seed=seed)
         for _ in range(hp.outer_iters):
             state.Z = trainer.update_Z(state, X, hp)
@@ -276,7 +275,7 @@ def test_criterion_6_trainer_numerics(capsys):
 
 
 def test_criterion_7_encoding_speed(capsys):
-    rec = bench.timing_compare(bench.BenchConfig(), k=8)
+    rec = bench.timing_compare(bench.BenchConfig(k_list=(8,)))
     ok = rec["ratio"] >= 3.0
     assert verdict(
         capsys, 7, ok,

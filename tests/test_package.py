@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import dltf
-from dltf import baselines, bench, core, encoder, guarantees, prox, trainer
+from dltf import baselines, bench, cli, core, encoder, guarantees, prox, trainer
 from dltf.errors import DimensionMismatch
 
 SRC = Path(dltf.__file__).resolve().parent
@@ -105,9 +106,19 @@ def test_ave_dif_on_an_empty_batch_is_a_dimension_mismatch():
 
 
 def test_hyperparams_fields_are_pinned():
-    # inner-loop stops are inline constants; a new knob needs a reason
+    # the model's sizes, weights and round count; inner-loop caps and stops
+    # are module or class constants, and a new knob needs a reason
     assert [f.name for f in dataclasses.fields(trainer.Hyperparams)] == [
-        "m", "k", "lam", "theta", "beta", "outer_iters", "iht_iters", "w_iters"]
+        "m", "k", "lam", "theta", "beta", "outer_iters"]
+
+
+def test_hyperparams_fields_are_dltf_train_flags():
+    # a trainer setting no command sets is a constant, not a field
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["train"]._actions}
+    missing = [f.name for f in dataclasses.fields(trainer.Hyperparams) if f.name not in dests]
+    assert not missing, f"Hyperparams fields with no dltf train flag: {missing}"
 
 
 def test_package_surface():

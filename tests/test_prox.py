@@ -239,7 +239,7 @@ def test_prox_k2_local_direction_sweep():
 
 def test_direction_sweep_margin_matches_per_direction_loop():
     rng = np.random.default_rng(30)
-    eps, ndirs = 1e-5, 25
+    eps, ndirs = selftest.SWEEP_EPS, 25
     shapes = [(1, 1), (4, 4), (10, 10)] + [
         (m, int(rng.integers(1, m + 1))) for m in rng.integers(1, 11, size=40)]
     for i, (m, kprime) in enumerate(shapes):
@@ -252,7 +252,7 @@ def test_direction_sweep_margin_matches_per_direction_loop():
         base = prox.prox_objective(q, inst.c, inst.kprime, gamma)
         ref = min(prox.prox_objective(q + eps * d, inst.c, inst.kprime, gamma) - base
                   for d in dirs)
-        got = selftest.direction_sweep_margin(inst, q, ndirs, eps, seed=i)
+        got = selftest.direction_sweep_margin(inst, q, ndirs, seed=i)
         assert abs(got - ref) <= 1e-14 * max(1.0, abs(base)), (m, kprime, gamma)
 
 
@@ -481,8 +481,7 @@ def test_oracle_equivalence_suite_report_from_plain_loop():
     for i, inst in enumerate(instances):
         q = prox.prox_k2(inst.c, inst.kprime, inst.gamma)
         gaps.append(prox.prox_objective(q, inst.c, inst.kprime, inst.gamma) - oracle[i])
-        margins.append(selftest.direction_sweep_margin(inst, q, ndirs, selftest.SWEEP_EPS,
-                                                       seed + 2 + i))
+        margins.append(selftest.direction_sweep_margin(inst, q, ndirs, seed + 2 + i))
     want = {"count": count, "max_gap": float(max(gaps)), "min_sweep_margin": float(min(margins)),
             "oracle_ok": bool(max(gaps) <= 1e-9), "sweep_ok": bool(min(margins) >= -1e-10)}
     assert selftest.oracle_equivalence_suite(count=count, seed=seed, total_iters=total_iters,
@@ -515,14 +514,8 @@ _HELPER_CASES = [
     ("random_instances", (2.0, 0), TypeError, "count=2.0 must be an integer"),
     ("subgradient_best", ([_INST], 0), ValueError, "total_iters=0 must be at least 1"),
     ("subgradient_best", ([_INST], 50, -2), ValueError, "seed=-2 must be at least 0"),
-    ("direction_sweep_margin", (_INST, _INST.c, 0, 1e-5, 0), ValueError,
-     "ndirs=0 must be at least 1"),
-    ("direction_sweep_margin", (_INST, _INST.c, 5, 0.0, 0), ValueError,
-     "eps=0.0 must be positive"),
-    ("direction_sweep_margin", (_INST, _INST.c, 5, -1e-5, 0), ValueError,
-     "eps=-1e-05 must be positive"),
-    ("direction_sweep_margin", (_INST, _INST.c, 5, 1e-5, -1), ValueError,
-     "seed=-1 must be at least 0"),
+    ("direction_sweep_margin", (_INST, _INST.c, 0, 0), ValueError, "ndirs=0 must be at least 1"),
+    ("direction_sweep_margin", (_INST, _INST.c, 5, -1), ValueError, "seed=-1 must be at least 0"),
 ]
 
 

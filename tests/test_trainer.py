@@ -51,11 +51,10 @@ def test_hyperparams_rejects_bad_tolerances_and_counts():
         for bad in (float("nan"), -1e-9, float("inf")):
             with pytest.raises(ValueError, match=f"^{name}=.* must be finite and nonnegative$"):
                 trainer.Hyperparams(m=8, k=2, **{name: bad})
-    for name in ("outer_iters", "iht_iters", "w_iters"):
-        for bad in (2.5, True):
-            with pytest.raises(TypeError, match=f"^{name}={bad} must be an integer$"):
-                trainer.Hyperparams(m=8, k=2, **{name: bad})
-    for name in ("m", "outer_iters", "iht_iters", "w_iters"):
+    for bad in (2.5, True):
+        with pytest.raises(TypeError, match=f"^outer_iters={bad} must be an integer$"):
+            trainer.Hyperparams(m=8, k=2, outer_iters=bad)
+    for name in ("m", "outer_iters"):
         with pytest.raises(ValueError, match=f"^{name}=0 must be at least 1$"):
             trainer.Hyperparams(**{"m": 8, "k": 2, name: 0})
     for name in ("lam", "theta", "beta"):
@@ -118,8 +117,7 @@ def test_update_z_one_step_orthonormal_matches_encoder():
     Wq, _ = np.linalg.qr(rng.standard_normal((n, m)))
     W = Dictionary(Wq)
     X = _data(rng, n, N)
-    hp = trainer.Hyperparams(m=m, k=k, lam=0.0, theta=1.0, beta=1e-8,
-                             iht_iters=1)
+    hp = trainer.Hyperparams(m=m, k=k, lam=0.0, theta=1.0, beta=1e-8)
     state = trainer.TrainerState(W=W, Z=SparseCodeBatch(np.zeros((m, N)), k),
                                  Q=np.zeros((m, N)), Y=np.zeros((m, N)))
     Z = trainer.update_Z(state, X, hp)
@@ -142,8 +140,7 @@ def _smooth_value(state, X, hp, Z):
 def test_update_z_descends_and_keeps_sparsity():
     rng = np.random.default_rng(22)
     n, m, N, k = 10, 16, 40, 3
-    hp = trainer.Hyperparams(m=m, k=k, lam=0.2, theta=0.5, beta=0.9,
-                             iht_iters=60)
+    hp = trainer.Hyperparams(m=m, k=k, lam=0.2, theta=0.5, beta=0.9)
     state = _random_state(rng, n, m, N, k)
     X = _data(rng, n, N)
 
@@ -161,8 +158,7 @@ def test_update_z_descends_and_keeps_sparsity():
 def test_update_z_repeat_never_ascends():
     rng = np.random.default_rng(23)
     n, m, N, k = 8, 12, 25, 2
-    hp = trainer.Hyperparams(m=m, k=k, lam=0.1, theta=0.4, beta=1.1,
-                             iht_iters=400)
+    hp = trainer.Hyperparams(m=m, k=k, lam=0.1, theta=0.4, beta=1.1)
     state = _random_state(rng, n, m, N, k)
     X = _data(rng, n, N)
 
@@ -270,7 +266,7 @@ def _reference_update_z(state, X, hp, trace):
     Z = state.Z.data
     g, f_prev = evaluate(Z)
     trace.append(f_prev)
-    for _ in range(hp.iht_iters):
+    for _ in range(trainer.IHT_ITERS):
         U = Z - eta * g
         Z = np.zeros_like(U)
         for i in range(U.shape[1]):
@@ -306,7 +302,7 @@ def test_update_z_matches_full_selection_as_supports_change():
     for n, m, N, k, lam, theta, beta in [(8, 12, 40, 2, 0.1, 0.4, 1.1),
                                          (10, 16, 60, 3, 0.05, 0.01, 1.0),
                                          (12, 20, 50, 4, 0.3, 0.7, 0.5)]:
-        hp = trainer.Hyperparams(m=m, k=k, lam=lam, theta=theta, beta=beta, iht_iters=40)
+        hp = trainer.Hyperparams(m=m, k=k, lam=lam, theta=theta, beta=beta)
         state = _random_state(rng, n, m, N, k)
         trace = _check_against_reference(state, _data(rng, n, N), hp)
         assert len(trace) > 3
@@ -318,7 +314,7 @@ def test_update_z_matches_full_selection_on_settled_supports():
     rng = np.random.default_rng(39)
     for m, N, k in [(12, 30, 3), (8, 20, 8)]:
         Wq, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        hp = trainer.Hyperparams(m=m, k=k, iht_iters=20)
+        hp = trainer.Hyperparams(m=m, k=k)
         state = trainer.TrainerState(W=Dictionary(Wq), Z=SparseCodeBatch(np.zeros((m, N)), k),
                                      Q=rng.standard_normal((m, N)),
                                      Y=rng.standard_normal((m, N)))
@@ -328,8 +324,10 @@ def test_update_z_matches_full_selection_on_settled_supports():
 
 def test_iht_step_is_at_most_099_over_largest_hessian_eigenvalue(monkeypatch):
     # k = m thresholds nothing, so init_state's codes are Z0 = W^T X and
-    # the one step's selection sees Z0 - eta (H Z0 + b)
-    hp = trainer.Hyperparams(m=32, k=32, iht_iters=1)
+    # the one step's selection sees Z0 - eta (H Z0 + b); a cap of one
+    # step ends the loop there
+    monkeypatch.setattr(trainer, "IHT_ITERS", 1)
+    hp = trainer.Hyperparams(m=32, k=32)
     X = _data(np.random.default_rng(4), 16, 60)
     state = trainer.init_state(X, hp, seed=9)
     W = state.W.data  # random_dictionary(16, 32, 9)
@@ -395,7 +393,7 @@ def test_update_z_on_its_own_output_stops_after_one_step(monkeypatch):
         X = _data(rng, n, N)
         first = []
         state.Z = trainer.update_Z(state, X, hp, trace=first)
-        assert len(first) - 1 < hp.iht_iters
+        assert len(first) - 1 < trainer.IHT_ITERS
         assert len(solves) == len(first) - 2 and first[-1] == first[-2]
         solves.clear()
         again = []
@@ -607,8 +605,7 @@ def test_update_w_descends_and_stays_unit_norm():
     rng = np.random.default_rng(28)
     for trial in range(5):
         n, m, N, k = 8, 14, 20, 3
-        hp = trainer.Hyperparams(m=m, k=k, lam=0.3, theta=0.5, beta=1.0,
-                                 w_iters=40)
+        hp = trainer.Hyperparams(m=m, k=k, lam=0.3, theta=0.5, beta=1.0)
         state = _random_state(rng, n, m, N, k)
         X = _data(rng, n, N)
         before = trainer.w_objective(state.W.data, X, state.Z.data, state.Q,
@@ -618,6 +615,24 @@ def test_update_w_descends_and_stays_unit_norm():
                                     state.Y, hp)
         assert after <= before + 1e-10 * max(1.0, abs(before))
         assert np.max(np.abs(np.linalg.norm(W_new.data, axis=0) - 1.0)) <= 1e-8
+
+
+def test_update_w_stops_at_its_step_cap(monkeypatch):
+    # a dictionary step after three rounds of training stalls after more
+    # than two steps and below the cap, so a cap of two is what ends it:
+    # the input value and two accepted steps, those of the uncapped run
+    X = bench.generate_synthetic(12, 20, 200, 2, 0.1, 0).X
+    hp = trainer.Hyperparams(m=20, k=2, outer_iters=3)
+    _, state = trainer.train(X, hp, seed=0)
+    state.Z = trainer.update_Z(state, X, hp)
+    state.Q = trainer.update_Q(state, X, hp)
+    full, trace = [], []
+    trainer.update_W(state, X, hp, trace=full)
+    assert 3 < len(full) <= trainer.W_ITERS
+    monkeypatch.setattr(trainer, "W_ITERS", 2)
+    trainer.update_W(state, X, hp, trace=trace)
+    assert len(trace) == 3
+    assert [v.hex() for v in trace] == [v.hex() for v in full[:3]]
 
 
 def test_update_w_near_stationary_point_stays_put(monkeypatch):
@@ -630,7 +645,7 @@ def test_update_w_near_stationary_point_stays_put(monkeypatch):
     Z = encoder.max_k_columns(rng.standard_normal((m, N)), k)
     state = trainer.TrainerState(W=W, Z=SparseCodeBatch(Z, k),
                                  Q=np.zeros((m, N)), Y=np.zeros((m, N)))
-    hp = trainer.Hyperparams(m=m, k=k, lam=0.0, theta=0.0, w_iters=50)
+    hp = trainer.Hyperparams(m=m, k=k, lam=0.0, theta=0.0)
     calls = []
     evaluate = trainer._WSubproblem.evaluate
 
@@ -648,7 +663,7 @@ def test_update_w_near_stationary_point_stays_put(monkeypatch):
 
 def _capped_w_values(state, X, hp):
     """Reference: the dictionary step with no stall stop, run to its
-    w_iters cap (or its gradient stop); the values it accepts."""
+    W_ITERS cap (or its gradient stop); the values it accepts."""
     P = trainer._WSubproblem(X.data, state.Z.data, state.Q, state.Y, hp)
     W = state.W.data
     f, g = P.evaluate(W)
@@ -656,7 +671,7 @@ def _capped_w_values(state, X, hp):
     pg = trainer._project_tangent(W, g)
     pg_sq = float((pg * pg).sum())
     tau = 1.0 / (1.0 + math.sqrt(pg_sq))
-    for _ in range(hp.w_iters):
+    for _ in range(trainer.W_ITERS):
         if math.sqrt(pg_sq) < 1e-6:
             break
         ref = max(values[-5:])
@@ -713,7 +728,7 @@ def test_update_w_stall_stop_is_a_prefix_of_the_capped_run(monkeypatch):
         monkeypatch.undo()
         stall = next(j for j in range(1, len(capped))
                      if min(capped[:j]) - capped[j] < 1e-6 * abs(capped[j]))
-        assert stall < hp.w_iters
+        assert stall < trainer.W_ITERS
         assert [v.hex() for v in trace] == [v.hex() for v in capped[:stall + 1]]
         assert stopped_calls == capped_calls[:len(stopped_calls)]
         assert len(stopped_calls) < len(capped_calls)
@@ -753,7 +768,7 @@ def test_train_deterministic_and_invariant():
     rng = np.random.default_rng(31)
     n, m, N, k = 10, 14, 60, 3
     X = DataMatrix(rng.standard_normal((n, N)))
-    hp = trainer.Hyperparams(m=m, k=k, outer_iters=5, iht_iters=20, w_iters=10)
+    hp = trainer.Hyperparams(m=m, k=k, outer_iters=5)
     W1, s1 = trainer.train(X, hp, seed=42)
     W2, s2 = trainer.train(X, hp, seed=42)
     assert W1.data.tobytes() == W2.data.tobytes()
@@ -782,7 +797,7 @@ def test_train_names_a_bad_seed(seed, error, message):
 def test_train_seed_changes_result():
     rng = np.random.default_rng(32)
     X = DataMatrix(rng.standard_normal((8, 30)))
-    hp = trainer.Hyperparams(m=10, k=2, outer_iters=2, iht_iters=10, w_iters=5)
+    hp = trainer.Hyperparams(m=10, k=2, outer_iters=2)
     Wa, _ = trainer.train(X, hp, seed=1)
     Wb, _ = trainer.train(X, hp, seed=2)
     assert not np.allclose(Wa.data, Wb.data)
@@ -795,7 +810,7 @@ def test_train_pure_gram_reduces_coherence():
     n, m, N, k = 12, 18, 40, 3
     X = DataMatrix(rng.standard_normal((n, N)))
     hp = trainer.Hyperparams(m=m, k=k, lam=0.0, theta=0.0, beta=1e-9,
-                             outer_iters=6, iht_iters=5, w_iters=25)
+                             outer_iters=6)
     init = trainer.init_state(X, hp, seed=9)
     mu0 = guarantees.mutual_coherence(init.W).mu
     Wout, _ = trainer.train(X, hp, seed=9)
@@ -814,7 +829,7 @@ def test_train_orthonormal_noiseless_trends_down():
         Ztrue = encoder.max_k_columns(rng.standard_normal((m, N)), k)
         X = DataMatrix(Wq @ Ztrue)
         hp = trainer.Hyperparams(m=m, k=k, lam=0.05, theta=0.5, beta=1.0,
-                                 outer_iters=8, iht_iters=30, w_iters=15)
+                                 outer_iters=8)
         _, state = trainer.train(X, hp, seed=seed)
         recon = [rec["recon_error"] for rec in state.history]
         primal = [rec["primal_residual"] for rec in state.history]
@@ -825,7 +840,7 @@ def test_train_orthonormal_noiseless_trends_down():
 def test_train_history_iterations_are_sequential():
     rng = np.random.default_rng(34)
     X = DataMatrix(rng.standard_normal((6, 30)))
-    hp = trainer.Hyperparams(m=8, k=2, outer_iters=4, iht_iters=10, w_iters=5)
+    hp = trainer.Hyperparams(m=8, k=2, outer_iters=4)
     _, state = trainer.train(X, hp, seed=3)
     assert [rec["iteration"] for rec in state.history] == [1, 2, 3, 4]
 
@@ -833,7 +848,7 @@ def test_train_history_iterations_are_sequential():
 def test_train_stops_once_the_primal_residual_is_below_the_tolerance(monkeypatch):
     rng = np.random.default_rng(34)
     X = DataMatrix(rng.standard_normal((6, 30)))
-    hp = trainer.Hyperparams(m=8, k=2, outer_iters=4, iht_iters=10, w_iters=5)
+    hp = trainer.Hyperparams(m=8, k=2, outer_iters=4)
     _, full = trainer.train(X, hp, seed=3)
     # a tolerance above round 1's relative residual stops the run after it
     tol = 2.0 * full.history[0]["primal_residual"] / math.sqrt(hp.m * X.N)
@@ -849,7 +864,7 @@ def test_train_stops_once_the_primal_residual_is_below_the_tolerance(monkeypatch
 def test_train_history_counts_iht_steps():
     rng = np.random.default_rng(40)
     X = DataMatrix(rng.standard_normal((8, 40)))
-    hp = trainer.Hyperparams(m=12, k=2, outer_iters=4, iht_iters=60, w_iters=5)
+    hp = trainer.Hyperparams(m=12, k=2, outer_iters=4)
     _, trained = trainer.train(X, hp, seed=4)
     state = trainer.init_state(X, hp, seed=4)
     for rec in trained.history:
@@ -859,7 +874,7 @@ def test_train_history_counts_iht_steps():
         state.W = trainer.update_W(state, X, hp, trace=w_trace)
         state.Y = trainer.update_Y(state, X, hp)
         assert rec["iht_steps"] == len(trace) - 1
-        assert rec["w_steps"] == len(w_trace) - 1 <= hp.w_iters
+        assert rec["w_steps"] == len(w_trace) - 1 <= trainer.W_ITERS
         # train reads its diagnostics from one residual product: the same bits
         assert rec["lagrangian"] == trainer.lagrangian_value(state, X, hp)
         assert rec["primal_residual"] == trainer.primal_residual(state, X)
